@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <stdexcept>
 
 #include "relmore/circuit/flat_tree.hpp"
@@ -134,6 +135,9 @@ util::Result<DelayDistribution> monte_carlo_delay_checked(const RlcTree& tree, S
     return e.status();
   } catch (const std::invalid_argument& e) {
     return util::Status(util::ErrorCode::kInvalidArgument, e.what());
+  } catch (const std::bad_alloc&) {
+    return util::Status(util::ErrorCode::kResourceExhausted,
+                        "monte_carlo_delay: workspace allocation failed");
   }
 }
 

@@ -510,6 +510,11 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         if (key == "at" && port.is_input) {
           port.arrival = v;
         } else if (key == "slew" && port.is_input) {
+          if (!util::valid_element_value(v)) {
+            findings.error(v < 0.0 ? ErrorCode::kNegativeValue : ErrorCode::kNonFiniteValue,
+                           "input: slew must be finite and non-negative", line_no, port.name);
+            ok = false;
+          }
           port.slew = v;
         } else if (key == "required" && !port.is_input) {
           port.required = v;

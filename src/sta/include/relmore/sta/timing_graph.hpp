@@ -72,8 +72,7 @@ struct TimingSummary {
   std::size_t endpoints = 0;
   std::size_t constrained_endpoints = 0;
   std::size_t untimed_endpoints = 0;  ///< endpoints in a faulted fanout cone
-  std::size_t faulted_nets = 0;
-  std::size_t batched_nets = 0;       ///< corpus nets analyzed on AoSoA lanes
+  std::size_t faulted_nets = 0;       ///< corpus faults plus failed stage solves
   std::size_t incomplete_nets = 0;    ///< corpus nets not analyzed: deadline/cancel
   std::size_t cache_hits = 0;         ///< corpus nets served by AnalyzeOptions::cache
   std::size_t cache_misses = 0;       ///< corpus nets the cache could not serve
@@ -91,7 +90,8 @@ struct TimingResult {
   /// unanalyzed are treated like faulted nets (their cones untimed).
   util::Status stop_status;
   /// Corpus-phase record: per-name errors for faulted nets, warnings for
-  /// incomplete nets and recovered transients (see corpus.hpp).
+  /// incomplete nets and recovered transients (see corpus.hpp), plus one
+  /// per-name error for each net whose stage delay solve failed.
   util::DiagnosticsReport diagnostics;
 };
 
@@ -156,9 +156,11 @@ class TimingGraph {
   /// levelized dirty cones, with a frontier cutoff wherever a recomputed
   /// net's forward half is bitwise-unchanged. On success `result` is
   /// bitwise-equal to a from-scratch analyze of the edited design in
-  /// every PointTiming, wire delay, WNS/TNS, and endpoint row; the
-  /// corpus-phase bookkeeping (batched/cache counts, diagnostics) keeps
-  /// its last-full-analysis values.
+  /// every PointTiming, wire delay, WNS/TNS, endpoint row and
+  /// `faulted_nets`. A re-timed net whose stage solve starts failing gains
+  /// the same naming error a full analysis reports, and one that heals
+  /// loses its errors; the rest of the corpus-phase bookkeeping (cache
+  /// counts, warnings) keeps its last-full-analysis values.
   ///
   /// `cache` must cover every net in the dirty cones at its current epoch
   /// (the Timer guarantees this: a full analyze fills it, edits restamp

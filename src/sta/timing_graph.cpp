@@ -107,11 +107,24 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
       nt.wire_delay[t] = stage.delay;
     } catch (const std::exception&) {
       // Ramp root-finding failed for this tap's model: degrade the tap
-      // to untimed (same isolation as a corpus-phase fault).
+      // to untimed (same isolation as a corpus-phase fault). Both sweeps
+      // count and name such a net; see stage_fault_diagnostic.
       nt.faulted = true;
     }
   }
   return winning;
+}
+
+/// The error naming a net whose corpus models were healthy but whose
+/// stage solve failed (forward_time_net marked it faulted). Full analysis
+/// and the incremental update both count such a net in
+/// TimingSummary::faulted_nets and report it with this one diagnostic.
+util::Diagnostic stage_fault_diagnostic(const Net& net) {
+  util::Diagnostic d;
+  d.code = ErrorCode::kInvalidArgument;
+  d.net = net.name;
+  d.message = "stage delay solve failed; the net's taps are untimed";
+  return d;
 }
 
 /// Re-derives net `ni`'s required/constrained fields in place from its
@@ -151,9 +164,8 @@ void backward_time_net(const Design& design, int ni, TimingResult& result) {
 }
 
 /// Rebuilds the endpoint summary (rows, WNS/TNS, endpoint counts) from
-/// the per-point timings. The corpus-phase counters
-/// (faulted/batched/incomplete/cache) are left untouched — the caller
-/// owns them.
+/// the per-point timings. The fault and corpus-phase counters
+/// (faulted/incomplete/cache) are left untouched — the caller owns them.
 void rebuild_endpoint_summary(const Design& design, TimingResult& result) {
   TimingSummary& summary = result.summary;
   summary.endpoints = 0;
@@ -271,12 +283,18 @@ Result<TimingResult> TimingGraph::analyze_checked(const AnalyzeOptions& options)
 
   // --- endpoint summary ----------------------------------------------------
   result.summary.faulted_nets = corpus.faulted_nets;
-  result.summary.batched_nets = corpus.batched_nets;
   result.summary.incomplete_nets = corpus.incomplete_nets;
   result.summary.cache_hits = corpus.cache_hits;
   result.summary.cache_misses = corpus.cache_misses;
   result.stop_status = corpus.stop_status;
   result.diagnostics = corpus.diagnostics;
+  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+    const NetModels& models = corpus.nets[ni];
+    if (result.nets[ni].faulted && models.analyzed && !models.faulted) {
+      ++result.summary.faulted_nets;
+      result.diagnostics.add(stage_fault_diagnostic(design.nets[ni]));
+    }
+  }
   rebuild_endpoint_summary(design, result);
   return result;
 }
@@ -321,6 +339,8 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
   // --- seed the dirty sets -------------------------------------------------
   std::vector<char> fwd(n_nets, 0);
   std::vector<char> bwd(n_nets, 0);
+  std::vector<char> fault_moved(n_nets, 0);  // re-timed nets whose faulted flag flipped
+  std::size_t fault_moves = 0;
   for (const int ni : seeds.forward_nets) {
     fwd[static_cast<std::size_t>(ni)] = 1;
     // A wire edit moves this net's total load, which every arc *into* its
@@ -384,6 +404,10 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
       ++stats.frontier_cutoffs;
       continue;
     }
+    if (nt.faulted != scratch.faulted) {
+      fault_moved[static_cast<std::size_t>(ni)] = 1;
+      ++fault_moves;
+    }
     nt.faulted = scratch.faulted;
     nt.driver.timed = scratch.driver.timed;
     nt.driver.arrival = scratch.driver.arrival;
@@ -405,6 +429,21 @@ Result<UpdateStats> TimingGraph::update_checked(TimingResult& result, CorpusCach
     ++stats.forward_retimed;
   }
   // relmore-lint: end-hot-loop
+
+  // --- fault bookkeeping: keep the count and the naming errors in step ----
+  // A cached net is healthy, so a re-timed net turns faulted only through
+  // its stage solve; one that heals retracts whatever error named it.
+  for (std::size_t ni = 0; fault_moves > 0 && ni < n_nets; ++ni) {
+    if (fault_moved[ni] == 0) continue;
+    --fault_moves;
+    if (result.nets[ni].faulted) {
+      ++result.summary.faulted_nets;
+      result.diagnostics.add(stage_fault_diagnostic(design.nets[ni]));
+    } else {
+      --result.summary.faulted_nets;
+      result.diagnostics.remove_net_errors(design.nets[ni].name);
+    }
+  }
 
   // --- backward cone sweep: reverse order, fanin marking on change --------
   // relmore-lint: begin-hot-loop(retime-backward-frontier)
@@ -618,8 +657,6 @@ std::string format_summary(const TimingSummary& summary) {
   append_ps(out, summary.tns);
   out += " ps\nnets faulted: ";
   out += std::to_string(summary.faulted_nets);
-  out += "   nets batched: ";
-  out += std::to_string(summary.batched_nets);
   if (summary.incomplete_nets > 0) {
     out += "   nets incomplete: ";
     out += std::to_string(summary.incomplete_nets);

@@ -64,6 +64,11 @@ std::string Status::to_string() const {
   return out;
 }
 
+void DiagnosticsReport::remove_net_errors(const std::string& net) {
+  errors_ -=
+      std::erase_if(entries_, [&](const Diagnostic& d) { return !d.warning && d.net == net; });
+}
+
 Status DiagnosticsReport::to_status() const {
   for (const Diagnostic& d : entries_) {
     if (!d.warning) {

@@ -184,6 +184,10 @@ class DiagnosticsReport {
     entries_.push_back(std::move(d));
   }
 
+  /// Drops every error (not warning) naming net `net`: an incremental
+  /// re-time that healed the net retracts what the full run reported.
+  void remove_net_errors(const std::string& net);
+
   [[nodiscard]] const std::vector<Diagnostic>& entries() const { return entries_; }
   [[nodiscard]] std::size_t error_count() const { return errors_; }
   [[nodiscard]] std::size_t warning_count() const { return entries_.size() - errors_; }

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "relmore/circuit/builders.hpp"
 #include "relmore/eed/eed.hpp"
+#include "relmore/util/fault_injector.hpp"
 
 namespace relmore::analysis {
 namespace {
@@ -101,6 +104,42 @@ TEST(Variation, BitwiseIdenticalAcrossThreadsAndLaneWidths) {
       EXPECT_EQ(got.max, base.max) << "threads " << threads << " lanes " << lanes;
     }
   }
+}
+
+TEST(Variation, ArenaAllocFailureReturnsResourceExhausted) {
+  // The checked entry point returns a Status instead of throwing: a
+  // workspace allocation failure (the arena-alloc injection site) comes
+  // back as kResourceExhausted, and leaves nothing behind that changes a
+  // later run's bits.
+  using util::FaultInjector;
+  const RlcTree t = circuit::make_balanced_tree(6, 2, circuit::SectionValues{25.0, 2e-9, 20e-15});
+  ASSERT_EQ(t.size(), 63u);
+  const auto leaf = static_cast<SectionId>(t.size() - 1);
+  const MonteCarloOptions opts{VariationSpec{}, 256, 5, {}};
+  const util::Result<DelayDistribution> reference = monte_carlo_delay_checked(t, leaf, opts);
+  ASSERT_TRUE(reference.is_ok()) << reference.status().to_string();
+
+  FaultInjector& injector = FaultInjector::instance();
+  injector.disarm_all();
+  ASSERT_TRUE(injector.arm_spec("arena-alloc:every=1:limit=1").is_ok());
+  const util::Result<DelayDistribution> armed = monte_carlo_delay_checked(t, leaf, opts);
+  const std::uint64_t fires = injector.fire_count(util::FaultSite::kArenaAlloc);
+  injector.disarm_all();
+  EXPECT_EQ(fires, 1u);
+  ASSERT_FALSE(armed.is_ok());
+  EXPECT_EQ(armed.status().code(), util::ErrorCode::kResourceExhausted);
+
+  const util::Result<DelayDistribution> rerun = monte_carlo_delay_checked(t, leaf, opts);
+  ASSERT_TRUE(rerun.is_ok()) << rerun.status().to_string();
+  const DelayDistribution& want = reference.value();
+  const DelayDistribution& got = rerun.value();
+  for (const auto member : {&DelayDistribution::nominal, &DelayDistribution::mean,
+                            &DelayDistribution::stddev, &DelayDistribution::q95,
+                            &DelayDistribution::min, &DelayDistribution::max}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.*member),
+              std::bit_cast<std::uint64_t>(want.*member));
+  }
+  EXPECT_EQ(got.samples, want.samples);
 }
 
 TEST(Variation, RejectsTooFewSamples) {

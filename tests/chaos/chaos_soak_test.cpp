@@ -1,7 +1,8 @@
 // Chaos soak (PR 9): corpus analysis under seeded randomized schedules of
 // concurrent cancellation, tight deadlines, and deterministic fault
-// injection, across thread counts and lane widths. Each schedule is a
-// pure function of its seed, so a failure reproduces from the seed alone.
+// injection, across thread counts, plus a seeded data fault (one net whose
+// moments overflow). Each schedule is a pure function of its seed, so a
+// failure reproduces from the seed alone.
 //
 // Invariants asserted on every schedule:
 //   * no crash and no hang (a watchdog thread aborts with a message if a
@@ -11,8 +12,8 @@
 //     are armed with limit=1 and never together, so pool first-error
 //     coalescing cannot eat one);
 //   * every net that completed healthy is bitwise-identical to the
-//     fault-free baseline — retries, fallbacks, deadlines, cancellation
-//     and lane-width choices never change a finished net's bits;
+//     fault-free baseline — retries, deadlines, cancellation and thread
+//     counts never change a finished net's bits;
 //   * partial-result bookkeeping is consistent: incomplete nets imply a
 //     non-ok stop_status and are each named in diagnostics; no stop
 //     implies every net reached a verdict.
@@ -122,15 +123,15 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::instance().disarm_all(); }
 };
 
-/// One seeded schedule: execution shape, run control, and armed faults —
-/// all derived from the seed.
+/// One seeded schedule: execution shape, run control, armed faults and the
+/// poisoned net — all derived from the seed.
 struct Schedule {
   unsigned threads;
-  std::size_t lane_width;
   bool with_delay;          ///< pool-delay armed (non-throwing)
-  bool with_nan;            ///< snapshot-nan armed, limit=1 (data fault)
-  int throwing_site;        ///< 0 none, 1 pool-abort, 2 arena-alloc (limit=1)
-  std::uint64_t every;      ///< phase period for the limited sites
+  bool with_bad_net;        ///< one net's moments overflow (data fault)
+  std::uint64_t bad_net;    ///< which net, modulo the net count
+  bool with_abort;          ///< pool-abort armed, limit=1 (throwing)
+  std::uint64_t every;      ///< phase period of pool-abort
   int cancel_after_us;      ///< <0: no cancel thread
   int deadline_kind;        ///< 0 none, 1 generous, 2 tiny
   int deadline_us;          ///< tiny-deadline budget
@@ -141,12 +142,11 @@ struct Schedule {
     const std::uint64_t c = splitmix64(b);
     Schedule s;
     const unsigned thread_choices[] = {1, 2, 4, 8};
-    const std::size_t width_choices[] = {0, 1, 2, 4, 8};
     s.threads = thread_choices[a % 4];
-    s.lane_width = width_choices[(a >> 8) % 5];
     s.with_delay = ((a >> 16) & 3) == 0;  // 1 in 4: each fire sleeps 2 ms
-    s.with_nan = ((a >> 24) & 1) != 0;
-    s.throwing_site = static_cast<int>((b >> 4) % 3);
+    s.with_bad_net = ((a >> 24) & 1) != 0;
+    s.bad_net = a >> 32;
+    s.with_abort = ((b >> 4) & 1) != 0;
     s.every = 1 + ((b >> 16) % 4);
     s.cancel_after_us = ((b >> 32) & 1) != 0 ? static_cast<int>(c % 2000) : -1;
     s.deadline_kind = static_cast<int>((c >> 16) % 3);
@@ -161,18 +161,20 @@ struct Schedule {
       os << "pool-delay:every=16";
       sep = ",";
     }
-    if (with_nan) {
-      os << sep << "snapshot-nan:every=" << every << ":limit=1";
-      sep = ",";
-    }
-    if (throwing_site == 1) {
-      os << sep << "pool-abort:every=" << every << ":limit=1";
-    } else if (throwing_site == 2) {
-      os << sep << "arena-alloc:every=" << every << ":limit=1";
-    }
+    if (with_abort) os << sep << "pool-abort:every=" << every << ":limit=1";
     return os.str();
   }
 };
+
+/// Overflows net `ni`'s moments (R*C ~ 1e330): a data fault the corpus
+/// must flag and never retry.
+void poison_net(sta::Design& design, std::size_t ni) {
+  sta::Net& net = design.nets[ni];
+  relmore::circuit::SectionValues& v = net.tree.values(0);
+  v.resistance = 1e300;
+  v.capacitance = 1e30;
+  net.flat = relmore::circuit::FlatTree(net.tree);
+}
 
 sta::Design chaos_design() {
   sta::SyntheticSpec spec;
@@ -227,9 +229,11 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       ASSERT_TRUE(FaultInjector::instance().arm_spec(arm).is_ok()) << arm;
     }
 
+    sta::Design scheduled = design;
+    if (sched.with_bad_net) poison_net(scheduled, sched.bad_net % design.nets.size());
+
     sta::AnalyzeOptions options;
     options.threads = sched.threads;
-    options.lane_width = sched.lane_width;
     options.max_attempts = 3;
     ru::CancelToken token;
     if (sched.cancel_after_us >= 0) options.cancel = &token;
@@ -247,7 +251,7 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       });
     }
 
-    const auto result = sta::analyze_corpus_checked(design, options);
+    const auto result = sta::analyze_corpus_checked(scheduled, options);
     if (canceller.joinable()) canceller.join();
     watchdog.pet();
     ++ran;
@@ -255,8 +259,6 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
     ASSERT_TRUE(result.is_ok()) << result.status().message();
     const sta::CorpusModels& models = result.value();
     const std::uint64_t abort_fires = FaultInjector::instance().fire_count(FaultSite::kPoolAbort);
-    const std::uint64_t arena_fires = FaultInjector::instance().fire_count(FaultSite::kArenaAlloc);
-    const std::uint64_t nan_fires = FaultInjector::instance().fire_count(FaultSite::kSnapshotNan);
 
     // Healthy nets: bitwise-identical to the fault-free baseline.
     ASSERT_EQ(models.nets.size(), baseline.nets.size());
@@ -290,17 +292,10 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       });
       EXPECT_EQ(named, models.incomplete_nets);
     } else if (models.stop_status.is_ok()) {
-      // No stop: every net reached a verdict, and only injected data
-      // faults (snapshot NaNs) may have failed nets — throwing sites are
-      // limit=1 and always retried away within the attempt budget. A
-      // retry triggered by a throwing fault can legitimately *heal* a
-      // poisoned snapshot (the refill injects nothing, the NaN budget is
-      // spent), so with a throwing site armed the bound is one-sided.
-      if (sched.throwing_site == 0) {
-        EXPECT_EQ(models.faulted_nets, nan_fires);
-      } else {
-        EXPECT_LE(models.faulted_nets, nan_fires);
-      }
+      // No stop: every net reached a verdict, and only the poisoned net
+      // failed — the pool abort is limit=1 and always retried away within
+      // the attempt budget, and a data fault is never retried.
+      EXPECT_EQ(models.faulted_nets, sched.with_bad_net ? 1u : 0u);
       EXPECT_EQ(models.quarantined_nets, 0u);
     }
 
@@ -309,13 +304,9 @@ TEST(ChaosSoak, SeededSchedulesNeverCrashHangOrCorrupt) {
       return d.code == ErrorCode::kInjectedFault;
     });
     EXPECT_EQ(abort_diags, abort_fires) << "pool-abort fires vs diagnostics";
-    const std::size_t arena_diags = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
-      return d.warning && d.message.find("workspace allocation failed") != std::string::npos;
-    });
-    EXPECT_EQ(arena_diags, arena_fires) << "arena-alloc fires vs diagnostics";
-    // A snapshot NaN that reached a verdict is an error diagnostic naming
-    // its net (a stop may instead leave that net incomplete).
-    if (models.stop_status.is_ok() && nan_fires > 0) {
+    // A poisoned net that reached a verdict is an error diagnostic naming
+    // it (a stop may instead leave that net incomplete).
+    if (models.stop_status.is_ok() && sched.with_bad_net) {
       const std::size_t poisoned = count_if_diag(models.diagnostics, [](const ru::Diagnostic& d) {
         return !d.warning && !d.net.empty();
       });

@@ -195,6 +195,31 @@ TEST(ReadDesign, DuplicatePortRejected) {
   EXPECT_NE(r.status().message().find("duplicate port"), std::string::npos);
 }
 
+TEST(ReadDesign, NegativeOrNonFiniteInputSlewRejected) {
+  // A negative slew used to load and then time as WNS 0 with the only
+  // endpoint untimed and nothing reported.
+  DiagnosticsReport report;
+  util::Result<Design> r = parse(
+      "net n0\nsection s0 - R=100 L=1n C=10f\nend\n"
+      "input i0 n0 slew=-5p\noutput o0 n0:s0 required=1n\n",
+      &report);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kNegativeValue);
+  EXPECT_EQ(r.status().net(), "i0");
+  EXPECT_EQ(r.status().line(), 4);
+  EXPECT_NE(r.status().message().find("slew"), std::string::npos);
+
+  util::Result<Design> inf = parse(
+      "net n0\nsection s0 - R=100 L=1n C=10f\nend\n"
+      "input i0 n0 slew=1e999\noutput o0 n0:s0 required=1n\n");
+  EXPECT_FALSE(inf.is_ok());
+
+  util::Result<Design> zero = parse(
+      "net n0\nsection s0 - R=100 L=1n C=10f\nend\n"
+      "input i0 n0 slew=0\noutput o0 n0:s0 required=1n\n");
+  EXPECT_TRUE(zero.is_ok()) << zero.status().to_string();
+}
+
 TEST(ReadDesign, DoubleDrivenNetRejected) {
   util::Result<Design> r = parse(
       "net a\nsection s0 - R=1 L=0 C=1f\nend\n"

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "relmore/eed/model.hpp"
 #include "relmore/sta/corpus.hpp"
 #include "relmore/sta/synthetic.hpp"
 #include "relmore/sta/timing_graph.hpp"
@@ -13,8 +14,8 @@
 namespace relmore::sta {
 namespace {
 
-/// The corpus contract under test: execution knobs (threads, lane width,
-/// grouping threshold, env overrides) never change a single output bit.
+/// The corpus contract under test: execution knobs (threads, env
+/// overrides) never change a single output bit.
 /// Doubles are compared through their bit patterns, not ==, so a -0.0/+0.0
 /// or ULP drift would fail loudly.
 
@@ -22,7 +23,7 @@ Design synthetic_design() {
   SyntheticSpec spec;
   spec.nets = 64;
   spec.seed = 5;
-  spec.topo_classes = 6;  // ~11 nets per class: every class forms a batch group
+  spec.topo_classes = 6;  // ~11 nets per shared topology
   spec.chain_depth = 4;
   util::Result<Design> r = make_synthetic_design_checked(spec);
   EXPECT_TRUE(r.is_ok()) << r.status().to_string();
@@ -33,16 +34,18 @@ void push(std::vector<std::uint64_t>& out, double v) {
   out.push_back(std::bit_cast<std::uint64_t>(v));
 }
 
+void push(std::vector<std::uint64_t>& out, const eed::NodeModel& m) {
+  push(out, m.sum_rc);
+  push(out, m.sum_lc);
+  push(out, m.zeta);
+  push(out, m.omega_n);
+}
+
 std::vector<std::uint64_t> bits_of(const CorpusModels& corpus) {
   std::vector<std::uint64_t> out;
   for (const NetModels& net : corpus.nets) {
     out.push_back(net.faulted ? 1 : 0);
-    for (const eed::NodeModel& m : net.taps) {
-      push(out, m.sum_rc);
-      push(out, m.sum_lc);
-      push(out, m.zeta);
-      push(out, m.omega_n);
-    }
+    for (const eed::NodeModel& m : net.taps) push(out, m);
   }
   return out;
 }
@@ -80,55 +83,55 @@ TimingResult run_timing(const Design& d, const AnalyzeOptions& options) {
   return std::move(r).value();
 }
 
-TEST(Determinism, CorpusBitwiseAcrossThreadsAndLaneWidths) {
+TEST(Determinism, CorpusBitwiseAcrossThreads) {
   const Design d = synthetic_design();
   AnalyzeOptions base;
   base.threads = 1;
-  base.lane_width = 1;
   const std::vector<std::uint64_t> reference = bits_of(run_corpus(d, base));
   ASSERT_FALSE(reference.empty());
-  for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      AnalyzeOptions o;
-      o.threads = threads;
-      o.lane_width = lanes;
-      EXPECT_EQ(bits_of(run_corpus(d, o)), reference)
-          << "threads=" << threads << " lanes=" << lanes;
-    }
-  }
+  AnalyzeOptions o;
+  o.threads = 4;
+  EXPECT_EQ(bits_of(run_corpus(d, o)), reference);
 }
 
-TEST(Determinism, BatchedAndScalarPathsAgreeBitwise) {
+TEST(Determinism, CorpusTapModelsEqualScalarAnalyze) {
   const Design d = synthetic_design();
-  AnalyzeOptions batched;  // default min_group: topology classes batch
-  const CorpusModels with_lanes = run_corpus(d, batched);
-  EXPECT_GT(with_lanes.batched_nets, 0u);
-
-  AnalyzeOptions scalar;
-  scalar.min_group = 1u << 30;  // no group is ever large enough
-  const CorpusModels scalar_only = run_corpus(d, scalar);
-  EXPECT_EQ(scalar_only.batched_nets, 0u);
-
-  EXPECT_EQ(bits_of(with_lanes), bits_of(scalar_only));
+  for (const unsigned threads : {1u, 4u}) {
+    AnalyzeOptions o;
+    o.threads = threads;
+    const CorpusModels corpus = run_corpus(d, o);
+    ASSERT_EQ(corpus.nets.size(), d.nets.size());
+    EXPECT_EQ(corpus.batched_nets, 0u);
+    for (std::size_t ni = 0; ni < d.nets.size(); ++ni) {
+      const Net& net = d.nets[ni];
+      const NetModels& got = corpus.nets[ni];
+      ASSERT_TRUE(got.analyzed && !got.faulted) << net.name;
+      const eed::TreeModel want = eed::analyze(net.flat);
+      ASSERT_EQ(got.taps.size(), net.taps.size()) << net.name;
+      for (std::size_t t = 0; t < net.taps.size(); ++t) {
+        std::vector<std::uint64_t> got_bits;
+        std::vector<std::uint64_t> want_bits;
+        push(got_bits, got.taps[t]);
+        push(want_bits, want.at(net.taps[t].node));
+        EXPECT_EQ(got_bits, want_bits) << "threads=" << threads << " net " << net.name
+                                       << " tap " << t;
+      }
+    }
+  }
 }
 
 TEST(Determinism, TimingResultBitwiseAcrossExecutionKnobs) {
   const Design d = synthetic_design();
   AnalyzeOptions base;
   base.threads = 1;
-  base.lane_width = 1;
   const TimingResult ref = run_timing(d, base);
   const std::vector<std::uint64_t> reference = bits_of(ref);
   EXPECT_EQ(ref.summary.untimed_endpoints, 0u);
   EXPECT_EQ(ref.summary.faulted_nets, 0u);
   for (const unsigned threads : {1u, 4u}) {
-    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      AnalyzeOptions o;
-      o.threads = threads;
-      o.lane_width = lanes;
-      EXPECT_EQ(bits_of(run_timing(d, o)), reference)
-          << "threads=" << threads << " lanes=" << lanes;
-    }
+    AnalyzeOptions o;
+    o.threads = threads;
+    EXPECT_EQ(bits_of(run_timing(d, o)), reference) << "threads=" << threads;
   }
 }
 

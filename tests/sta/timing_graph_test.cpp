@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "relmore/sta/design.hpp"
+#include "relmore/timer.hpp"
 #include "relmore/util/diagnostics.hpp"
 
 namespace relmore::sta {
@@ -219,6 +220,62 @@ TEST(TimingGraph, FaultedNetPoisonsOnlyItsOwnCone) {
   util::Result<TimingResult> thrown = g.value().analyze_checked(strict);
   ASSERT_FALSE(thrown.is_ok());
   EXPECT_EQ(thrown.status().net(), "nb");
+}
+
+/// Error diagnostics naming `net`.
+std::size_t errors_naming(const TimingResult& r, const std::string& net) {
+  std::size_t n = 0;
+  for (const util::Diagnostic& d : r.diagnostics.entries()) {
+    if (!d.warning && d.net == net) ++n;
+  }
+  return n;
+}
+
+TEST(TimingGraph, StageSolveFaultIsCountedAndNamed) {
+  // The reader rejects a negative slew, but the Design struct is public:
+  // a stage solve that throws on it must not vanish silently.
+  Design d = parse(kGolden);
+  d.ports[static_cast<std::size_t>(d.find_port("clk"))].slew = -5e-12;
+  relmore::Timer timer;
+  ASSERT_TRUE(timer.load(std::move(d)).is_ok());
+  const util::Result<TimingSummary> summary = timer.analyze();
+  ASSERT_TRUE(summary.is_ok()) << summary.status().to_string();
+  EXPECT_EQ(summary.value().faulted_nets, 1u);
+  EXPECT_EQ(summary.value().untimed_endpoints, 1u);
+  ASSERT_NE(timer.result(), nullptr);
+  EXPECT_EQ(errors_naming(*timer.result(), "n0"), 1u);
+}
+
+TEST(TimingGraph, IncrementalUpdateTracksStageSolveFaults) {
+  Design d = parse(kGolden);
+  const int clk = d.find_port("clk");
+  const int n0 = d.find_net("n0");
+  CorpusCache cache;
+  AnalyzeOptions options;
+  options.cache = &cache;
+  const util::Result<TimingGraph> g = TimingGraph::build_checked(d);
+  ASSERT_TRUE(g.is_ok());
+  util::Result<TimingResult> full = g.value().analyze_checked(options);
+  ASSERT_TRUE(full.is_ok());
+  TimingResult incremental = std::move(full).value();
+  UpdateSeeds seeds;
+  seeds.forward_nets = {n0};
+
+  // Fault appears, then heals; each update must agree with a full run.
+  for (const double slew : {-5e-12, 0.0}) {
+    d.ports[static_cast<std::size_t>(clk)].slew = slew;
+    const util::Result<UpdateStats> stats =
+        g.value().update_checked(incremental, cache, seeds, options);
+    ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+    const TimingResult fresh = analyze(d);
+    const std::size_t want = slew < 0.0 ? 1 : 0;
+    EXPECT_EQ(fresh.summary.faulted_nets, want) << "slew " << slew;
+    EXPECT_EQ(incremental.summary.faulted_nets, want) << "slew " << slew;
+    EXPECT_EQ(errors_naming(fresh, "n0"), want) << "slew " << slew;
+    EXPECT_EQ(errors_naming(incremental, "n0"), want) << "slew " << slew;
+    EXPECT_EQ(incremental.diagnostics.error_count(), fresh.diagnostics.error_count());
+    EXPECT_EQ(incremental.summary.untimed_endpoints, fresh.summary.untimed_endpoints);
+  }
 }
 
 TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {
