@@ -16,21 +16,26 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "relmore/circuit/rlc_tree.hpp"
 #include "relmore/util/diagnostics.hpp"
+#include "relmore/util/text.hpp"
 
 namespace relmore::circuit {
 
 /// Parses "12.5", "2n", "0.2p", "1meg" etc. into a finite double. Rejects
 /// trailing garbage ("2nq", "1e"), non-finite literals ("nan", "inf"), and
 /// magnitudes outside double range ("1e999", "1e308k") with a structured
-/// status (kParseError / kValueOutOfRange).
-[[nodiscard]] util::Result<double> parse_spice_value_checked(const std::string& text);
+/// status (kParseError / kValueOutOfRange). Every accepted value has the
+/// bits strtod gives its number part (times the suffix scale); plain
+/// decimal literals are read without allocating.
+[[nodiscard]] util::Result<double> parse_spice_value_checked(std::string_view text);
 
 /// Exception-compatible shim over parse_spice_value_checked: throws
 /// util::FaultError (a std::invalid_argument) on any rejected input.
-double parse_spice_value(const std::string& text);
+double parse_spice_value(std::string_view text);
 
 /// Writes the tree netlist format.
 void write_tree_netlist(const RlcTree& tree, std::ostream& os);
@@ -45,6 +50,29 @@ struct ReadContext {
   std::string net;      ///< enclosing net/instance name ("" = standalone)
   int line_offset = 0;  ///< added to this block's 1-based line numbers
   util::DiagnosticsReport* report = nullptr;  ///< optional sink for findings
+};
+
+/// The tree-netlist parser, fed one line at a time: the single
+/// implementation behind read_tree_netlist_checked, and what the design
+/// reader feeds each `net` block's lines to in place. After the first
+/// syntax error it ignores further lines; finish() reports that error.
+class TreeNetlistParser {
+ public:
+  /// Parses one line; `line_no` is the line number diagnostics carry.
+  /// Blank lines and `#` comments are skipped. Returns false once the
+  /// parser has failed, so a reader may stop feeding it.
+  bool parse_line(std::string_view line, int line_no);
+
+  /// The first syntax error, or else the validated tree. Findings are
+  /// tagged with `ctx.net` and mirrored into `ctx.report`
+  /// (`ctx.line_offset` is unused: parse_line took absolute numbers).
+  [[nodiscard]] util::Result<RlcTree> finish(const ReadContext& ctx) &&;
+
+ private:
+  RlcTree tree_;
+  util::StringMap<SectionId> by_name_;
+  std::vector<std::string_view> tokens_;  ///< parse_line's scratch; views of its line only
+  util::Status error_;
 };
 
 /// Parses the tree netlist format and validates the result

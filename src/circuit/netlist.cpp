@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -24,18 +24,18 @@ using util::Status;
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
+  return out;
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream ss(line);
-  std::string tok;
-  while (ss >> tok) out.push_back(tok);
-  return out;
+bool iequals(std::string_view a, std::string_view lower_b) {
+  return a.size() == lower_b.size() &&
+         std::equal(a.begin(), a.end(), lower_b.begin(), [](char x, char y) {
+           return std::tolower(static_cast<unsigned char>(x)) == y;
+         });
 }
 
 Status parse_fail(int line_no, const std::string& msg) {
@@ -61,68 +61,113 @@ Status validate_parsed(const RlcTree& tree, const ReadContext& ctx) {
   return report.to_status().with_net(ctx.net);
 }
 
+/// strtod's reading of the number at the start of a value token.
+struct LeadingNumber {
+  double value = 0.0;
+  std::size_t length = 0;  ///< characters consumed; 0 = no number
+  bool overflow = false;   ///< magnitude beyond double range (ERANGE, +-HUGE_VAL)
+};
+
+LeadingNumber leading_number(std::string_view text) {
+  // Plain decimal literals ([-]digits[.digits][e[+-]digits]) go through
+  // std::from_chars, which rounds correctly and so yields strtod's bits
+  // without allocating. Everything else strtod accepts ('+', hex, inf/nan
+  // spellings) and every from_chars range error take strtod itself, so
+  // accepted values and rejection messages match it exactly.
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const char* digits = first + (text.front() == '-' ? 1 : 0);
+  const bool decimal = digits < last && ((*digits >= '0' && *digits <= '9') || *digits == '.');
+  const bool hex = last - digits >= 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X');
+  if (decimal && !hex) {
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec == std::errc()) return {v, static_cast<std::size_t>(r.ptr - first), false};
+  }
+  const std::string terminated(text);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(terminated.c_str(), &end);
+  return {v, static_cast<std::size_t>(end - terminated.c_str()),
+          errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)};
+}
+
+struct ScalePrefix {
+  std::string_view text;
+  double scale;
+};
+// Tried in order, so "meg" wins over "m".
+constexpr ScalePrefix kScalePrefixes[] = {
+    {"meg", 1e6}, {"f", 1e-15}, {"p", 1e-12}, {"n", 1e-9}, {"u", 1e-6},
+    {"m", 1e-3},  {"k", 1e3},   {"g", 1e9},   {"t", 1e12},
+};
+constexpr std::string_view kUnits[] = {"", "h", "f", "ohm", "s", "v"};
+constexpr std::size_t kMaxSuffix = 6;  // "meg" + "ohm"
+
+bool is_unit(std::string_view rest) {
+  return std::find(std::begin(kUnits), std::end(kUnits), rest) != std::end(kUnits);
+}
+
+/// The scale a value suffix selects, matched case-insensitively: the first
+/// listed SI prefix whose remaining letters are unit text, else bare unit
+/// text (scale 1). Returns false for anything else.
+bool suffix_scale(std::string_view suffix, double* scale) {
+  if (suffix.size() > kMaxSuffix) return false;
+  char buf[kMaxSuffix];
+  for (std::size_t i = 0; i < suffix.size(); ++i) {
+    buf[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(suffix[i])));
+  }
+  const std::string_view lowered(buf, suffix.size());
+  for (const ScalePrefix& p : kScalePrefixes) {
+    if (lowered.substr(0, p.text.size()) == p.text && is_unit(lowered.substr(p.text.size()))) {
+      *scale = p.scale;
+      return true;
+    }
+  }
+  *scale = 1.0;
+  return is_unit(lowered);
+}
+
 }  // namespace
 
-Result<double> parse_spice_value_checked(const std::string& text) {
+Result<double> parse_spice_value_checked(std::string_view text) {
   if (text.empty()) {
     return Status(ErrorCode::kParseError, "parse_spice_value: empty value");
   }
-  errno = 0;
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  const double base = std::strtod(begin, &end);
-  if (end == begin) {
+  const LeadingNumber base = leading_number(text);
+  if (base.length == 0) {
     return Status(ErrorCode::kParseError,
-                  "parse_spice_value: malformed number '" + text + "'");
+                  "parse_spice_value: malformed number '" + std::string(text) + "'");
   }
-  if (errno == ERANGE && (base == HUGE_VAL || base == -HUGE_VAL)) {
-    return Status(ErrorCode::kValueOutOfRange,
-                  "parse_spice_value: magnitude of '" + text + "' exceeds double range");
+  if (base.overflow) {
+    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: magnitude of '" +
+                                                   std::string(text) + "' exceeds double range");
   }
   // Rejects strtod's "nan"/"inf"(/"infinity") spellings: a netlist value
   // must be a finite literal. (ERANGE underflow to a subnormal is fine.)
-  if (!std::isfinite(base)) {
+  if (!std::isfinite(base.value)) {
     return Status(ErrorCode::kParseError,
-                  "parse_spice_value: non-finite value '" + text + "'");
+                  "parse_spice_value: non-finite value '" + std::string(text) + "'");
   }
-  const std::string suffix = lower(text.substr(static_cast<std::size_t>(end - begin)));
-  static const std::map<std::string, double> kScale = {
-      {"", 1.0},     {"f", 1e-15}, {"p", 1e-12}, {"n", 1e-9}, {"u", 1e-6},
-      {"m", 1e-3},   {"k", 1e3},   {"meg", 1e6}, {"g", 1e9},  {"t", 1e12},
-  };
-  const auto is_unit = [](const std::string& rest) {
-    return rest.empty() || rest == "h" || rest == "f" || rest == "ohm" || rest == "s" ||
-           rest == "v";
-  };
+  const std::string_view suffix = text.substr(base.length);
   double scale = 1.0;
-  bool matched = false;
-  // Longest-prefix match on the suffix; remaining letters must be unit text.
-  for (const auto& prefix : {std::string("meg"), std::string("f"), std::string("p"),
-                             std::string("n"), std::string("u"), std::string("m"),
-                             std::string("k"), std::string("g"), std::string("t")}) {
-    if (suffix.rfind(prefix, 0) == 0 && is_unit(suffix.substr(prefix.size()))) {
-      scale = kScale.at(prefix);
-      matched = true;
-      break;
-    }
+  if (!suffix_scale(suffix, &scale)) {
+    // Full-token consumption or nothing: "2nq", "1e", "3..5" all land
+    // here instead of silently keeping the partially parsed prefix.
+    return Status(ErrorCode::kParseError, "parse_spice_value: trailing garbage '" +
+                                              lower(suffix) + "' in '" + std::string(text) +
+                                              "'");
   }
-  if (!matched) {
-    if (!is_unit(suffix)) {
-      // Full-token consumption or nothing: "2nq", "1e", "3..5" all land
-      // here instead of silently keeping the partially parsed prefix.
-      return Status(ErrorCode::kParseError,
-                    "parse_spice_value: trailing garbage '" + suffix + "' in '" + text + "'");
-    }
-  }
-  const double value = base * scale;
+  const double value = base.value * scale;
   if (!std::isfinite(value)) {
-    return Status(ErrorCode::kValueOutOfRange,
-                  "parse_spice_value: scaled magnitude of '" + text + "' exceeds double range");
+    return Status(ErrorCode::kValueOutOfRange, "parse_spice_value: scaled magnitude of '" +
+                                                   std::string(text) +
+                                                   "' exceeds double range");
   }
   return value;
 }
 
-double parse_spice_value(const std::string& text) {
+double parse_spice_value(std::string_view text) {
   Result<double> res = parse_spice_value_checked(text);
   if (!res.is_ok()) throw FaultError(res.status());
   return res.value();
@@ -145,13 +190,12 @@ void write_tree_netlist(const RlcTree& tree, std::ostream& os) {
 
 namespace {
 
-/// Wraps a reader body: tags the failure Status with the context's net
-/// name and mirrors syntax errors (which bypass circuit::validate and so
-/// never reached the report via validate_parsed) into the report sink.
-Result<RlcTree> with_context(const ReadContext& ctx,
-                             const std::function<Result<RlcTree>()>& body) {
-  const std::size_t errors_before = ctx.report != nullptr ? ctx.report->error_count() : 0;
-  Result<RlcTree> res = body();
+/// Tags a failed read with the context's net name and mirrors syntax
+/// errors (which bypass circuit::validate and so never reached the report
+/// via validate_parsed) into the report sink. `errors_before` is the
+/// report's error count when the read began.
+Result<RlcTree> tag_failure(Result<RlcTree> res, const ReadContext& ctx,
+                            std::size_t errors_before) {
   if (res.is_ok()) return res;
   const Status tagged = res.status().with_net(ctx.net);
   if (ctx.report != nullptr && ctx.report->error_count() == errors_before) {
@@ -166,73 +210,91 @@ Result<RlcTree> with_context(const ReadContext& ctx,
   return tagged;
 }
 
-Result<RlcTree> read_tree_netlist_impl(std::istream& is, const ReadContext& ctx) {
-  RlcTree tree;
-  std::map<std::string, SectionId> by_name;
-  std::string line;
-  int line_no = ctx.line_offset;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;
-    if (lower(toks[0]) != "section") {
-      return parse_fail(line_no, "expected 'section', got '" + toks[0] + "'");
+std::size_t error_count(const ReadContext& ctx) {
+  return ctx.report != nullptr ? ctx.report->error_count() : 0;
+}
+
+/// One non-blank `section <name> <parent|-> R= L= C=` line.
+Status parse_section(const std::vector<std::string_view>& toks, int line_no, RlcTree& tree,
+                     util::StringMap<SectionId>& by_name) {
+  if (!iequals(toks[0], "section")) {
+    return parse_fail(line_no, "expected 'section', got '" + std::string(toks[0]) + "'");
+  }
+  if (toks.size() != 6) {
+    return parse_fail(line_no, "expected: section <name> <parent|-> R= L= C=");
+  }
+  const std::string_view name = toks[1];
+  const std::string_view parent_name = toks[2];
+  if (by_name.find(name) != by_name.end()) {
+    return parse_fail(line_no, "duplicate section name '" + std::string(name) + "'");
+  }
+  SectionId parent = kInput;
+  if (parent_name != "-") {
+    const auto it = by_name.find(parent_name);
+    if (it == by_name.end()) {
+      return parse_fail(line_no, "unknown parent '" + std::string(parent_name) + "'");
     }
-    if (toks.size() != 6) {
-      return parse_fail(line_no, "expected: section <name> <parent|-> R= L= C=");
+    parent = it->second;
+  }
+  SectionValues v;
+  for (std::size_t t = 3; t < 6; ++t) {
+    const std::string_view tok = toks[t];
+    const std::size_t eq = tok.find('=');
+    if (eq == std::string_view::npos) {
+      return parse_fail(line_no, "expected key=value, got '" + std::string(tok) + "'");
     }
-    const std::string& name = toks[1];
-    const std::string& parent_name = toks[2];
-    if (by_name.count(name) != 0) {
-      return parse_fail(line_no, "duplicate section name '" + name + "'");
-    }
-    SectionId parent = kInput;
-    if (parent_name != "-") {
-      const auto it = by_name.find(parent_name);
-      if (it == by_name.end()) {
-        return parse_fail(line_no, "unknown parent '" + parent_name + "'");
-      }
-      parent = it->second;
-    }
-    SectionValues v;
-    for (std::size_t t = 3; t < 6; ++t) {
-      const auto eq = toks[t].find('=');
-      if (eq == std::string::npos) {
-        return parse_fail(line_no, "expected key=value, got '" + toks[t] + "'");
-      }
-      const std::string key = lower(toks[t].substr(0, eq));
-      const Result<double> val = parse_spice_value_checked(toks[t].substr(eq + 1));
-      if (!val.is_ok()) return parse_fail(line_no, val.status().message());
-      if (key == "r") {
-        v.resistance = val.value();
-      } else if (key == "l") {
-        v.inductance = val.value();
-      } else if (key == "c") {
-        v.capacitance = val.value();
-      } else {
-        return parse_fail(line_no, "unknown key '" + key + "'");
-      }
-    }
-    try {
-      by_name[name] = tree.add_section(parent, v, name);
-    } catch (const std::invalid_argument& e) {
-      return parse_fail(line_no, e.what());
+    const std::string_view key = tok.substr(0, eq);
+    const Result<double> val = parse_spice_value_checked(tok.substr(eq + 1));
+    if (!val.is_ok()) return parse_fail(line_no, val.status().message());
+    if (iequals(key, "r")) {
+      v.resistance = val.value();
+    } else if (iequals(key, "l")) {
+      v.inductance = val.value();
+    } else if (iequals(key, "c")) {
+      v.capacitance = val.value();
+    } else {
+      return parse_fail(line_no, "unknown key '" + lower(key) + "'");
     }
   }
-  if (Status s = validate_parsed(tree, ctx); !s.is_ok()) return s;
-  return tree;
+  try {
+    by_name.emplace(name, tree.add_section(parent, v, std::string(name)));
+  } catch (const std::invalid_argument& e) {
+    return parse_fail(line_no, e.what());
+  }
+  return Status::ok();
 }
 
 }  // namespace
+
+bool TreeNetlistParser::parse_line(std::string_view line, int line_no) {
+  if (!error_.is_ok()) return false;
+  util::split_whitespace(line.substr(0, line.find('#')), tokens_);
+  if (tokens_.empty()) return true;
+  error_ = parse_section(tokens_, line_no, tree_, by_name_);
+  return error_.is_ok();
+}
+
+Result<RlcTree> TreeNetlistParser::finish(const ReadContext& ctx) && {
+  const std::size_t errors_before = error_count(ctx);
+  if (!error_.is_ok()) return tag_failure(error_, ctx, errors_before);
+  if (Status s = validate_parsed(tree_, ctx); !s.is_ok()) {
+    return tag_failure(std::move(s), ctx, errors_before);
+  }
+  return std::move(tree_);
+}
 
 Result<RlcTree> read_tree_netlist_checked(std::istream& is) {
   return read_tree_netlist_checked(is, ReadContext{});
 }
 
 Result<RlcTree> read_tree_netlist_checked(std::istream& is, const ReadContext& ctx) {
-  return with_context(ctx, [&] { return read_tree_netlist_impl(is, ctx); });
+  TreeNetlistParser parser;
+  std::string line;
+  int line_no = ctx.line_offset;
+  while (std::getline(is, line)) {
+    if (!parser.parse_line(line, ++line_no)) break;
+  }
+  return std::move(parser).finish(ctx);
 }
 
 RlcTree read_tree_netlist(std::istream& is) {
@@ -288,10 +350,11 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
   std::string input_node;
 
   std::string line;
+  std::vector<std::string_view> toks;
   int line_no = ctx.line_offset;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto toks = tokenize(line);
+    util::split_whitespace(line, toks);
     if (toks.empty()) continue;
     const char kind = static_cast<char>(std::tolower(static_cast<unsigned char>(toks[0][0])));
     if (toks[0][0] == '*' || toks[0][0] == '.') continue;
@@ -301,16 +364,16 @@ Result<RlcTree> read_spice_impl(std::istream& is, const ReadContext& ctx) {
       continue;
     }
     if (kind != 'r' && kind != 'l' && kind != 'c') {
-      return parse_fail(line_no, std::string("unsupported element '") + toks[0] + "'");
+      return parse_fail(line_no, "unsupported element '" + std::string(toks[0]) + "'");
     }
     if (toks.size() < 4) return parse_fail(line_no, "element card needs: name n1 n2 value");
-    const std::string n1 = toks[1];
-    const std::string n2 = toks[2];
+    const std::string n1(toks[1]);
+    const std::string n2(toks[2]);
     const Result<double> parsed = parse_spice_value_checked(toks[3]);
     if (!parsed.is_ok()) return parse_fail(line_no, parsed.status().message());
     const double value = parsed.value();
     if (value < 0.0) {
-      return parse_fail(line_no, "negative element value " + toks[3]);
+      return parse_fail(line_no, "negative element value " + std::string(toks[3]));
     }
     if (kind == 'c') {
       const std::string node = n1 == "0" ? n2 : n1;
@@ -417,7 +480,8 @@ Result<RlcTree> read_spice_checked(std::istream& is) {
 }
 
 Result<RlcTree> read_spice_checked(std::istream& is, const ReadContext& ctx) {
-  return with_context(ctx, [&] { return read_spice_impl(is, ctx); });
+  const std::size_t errors_before = error_count(ctx);
+  return tag_failure(read_spice_impl(is, ctx), ctx, errors_before);
 }
 
 RlcTree read_spice(std::istream& is) {

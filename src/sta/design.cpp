@@ -1,13 +1,13 @@
 #include "relmore/sta/design.hpp"
 
 #include <istream>
-#include <map>
-#include <sstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
 #include "relmore/circuit/netlist.hpp"
 #include "relmore/util/fault_injector.hpp"
+#include "relmore/util/text.hpp"
 
 namespace relmore::sta {
 
@@ -17,6 +17,7 @@ using util::DiagnosticsReport;
 using util::ErrorCode;
 using util::Result;
 using util::Status;
+using util::StringMap;
 
 namespace {
 
@@ -78,35 +79,27 @@ class Findings {
   DiagnosticsReport* mirror_;
 };
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
-}
-
 /// Parses "key=value" into (key, value-text); returns false when `tok` has
 /// no '=' sign.
-bool split_option(const std::string& tok, std::string* key, std::string* text) {
+bool split_option(std::string_view tok, std::string_view* key, std::string_view* text) {
   const std::size_t eq = tok.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size()) return false;
+  if (eq == std::string_view::npos || eq == 0 || eq + 1 >= tok.size()) return false;
   *key = tok.substr(0, eq);
   *text = tok.substr(eq + 1);
   return true;
 }
 
 /// Parses "net:node" into its two halves.
-bool split_tap(const std::string& tok, std::string* net, std::string* node) {
+bool split_tap(std::string_view tok, std::string* net, std::string* node) {
   const std::size_t colon = tok.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= tok.size()) return false;
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 >= tok.size()) return false;
   *net = tok.substr(0, colon);
   *node = tok.substr(colon + 1);
   return true;
 }
 
 /// One parsed numeric option value, with findings on failure.
-bool parse_value(const std::string& text, const char* what, int line, const std::string& net,
+bool parse_value(std::string_view text, const char* what, int line, const std::string& net,
                  Findings& findings, double* out) {
   Result<double> v = circuit::parse_spice_value_checked(text);
   if (!v.is_ok()) {
@@ -144,10 +137,17 @@ std::size_t Design::endpoint_count() const {
 
 namespace {
 
-/// Resolves raw references, folds pin caps, snapshots FlatTrees, and
-/// levelizes. Mutates `design` in place; findings carry every failure.
-void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
-                     const std::vector<RawPort>& raw_ports, Findings& findings) {
+/// Index of the net named `name` in `net_index`, or -1.
+int find_net(const StringMap<int>& net_index, std::string_view name) {
+  const auto it = net_index.find(name);
+  return it == net_index.end() ? -1 : it->second;
+}
+
+/// Resolves raw instance and port references into `design` through the
+/// reader's net-name index; findings carry every failure.
+void resolve_references(Design& design, const StringMap<int>& net_index,
+                        const std::vector<RawInst>& raw_insts,
+                        const std::vector<RawPort>& raw_ports, Findings& findings) {
   // --- resolve instances -------------------------------------------------
   // Instance and port names must be unique: find_port / path reports
   // resolve by name, and a silent duplicate would make every later query
@@ -168,7 +168,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
                      ri.name);
       continue;
     }
-    inst.out_net = design.find_net(ri.out_net);
+    inst.out_net = find_net(net_index, ri.out_net);
     if (inst.out_net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown output net '" + ri.out_net + "'",
                      ri.line, ri.name);
@@ -177,7 +177,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
     bool pins_ok = true;
     for (const RawPin& pin : ri.inputs) {
       Instance::Pin p;
-      p.net = design.find_net(pin.net);
+      p.net = find_net(net_index, pin.net);
       if (p.net < 0) {
         findings.error(ErrorCode::kInvalidArgument, "unknown input net '" + pin.net + "'",
                        ri.line, ri.name);
@@ -233,7 +233,7 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
     port.slew = rp.slew;
     port.required = rp.required;
     port.has_required = rp.has_required;
-    port.net = design.find_net(rp.net);
+    port.net = find_net(net_index, rp.net);
     if (port.net < 0) {
       findings.error(ErrorCode::kInvalidArgument, "unknown net '" + rp.net + "'", rp.line,
                      rp.name);
@@ -265,7 +265,11 @@ void finalize_design(Design& design, const std::vector<RawInst>& raw_insts,
     }
     design.ports.push_back(std::move(port));
   }
+}
 
+/// Checks the resolved structure, folds pin caps, snapshots FlatTrees, and
+/// levelizes. Mutates `design` in place; findings carry every failure.
+void finalize_design(Design& design, Findings& findings) {
   // --- structural checks -------------------------------------------------
   bool have_input = false;
   bool have_endpoint = false;
@@ -358,8 +362,15 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   design.library = std::move(base);
   std::vector<RawInst> raw_insts;
   std::vector<RawPort> raw_ports;
+  // Net name -> index in design.nets, for the duplicate check here and for
+  // every reference resolve_references resolves. It lives only as long as the
+  // read: callers own and may edit the returned Design's vectors.
+  StringMap<int> net_index;
 
+  // One line buffer and one token list serve every line; the tokens are
+  // views into `line`, valid until the next getline.
   std::string line;
+  std::vector<std::string_view> tok;
   int line_no = 0;
   std::size_t total_sections = 0;
   constexpr std::size_t kMaxDesignSections = 4u << 20;  // 4M sections across all nets
@@ -372,9 +383,9 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       findings.error(ErrorCode::kParseError, "input truncated (injected fault)", line_no);
       break;
     }
-    const std::vector<std::string> tok = tokenize(line);
+    util::split_whitespace(line, tok);
     if (tok.empty() || tok[0][0] == '#') continue;
-    const std::string& kw = tok[0];
+    const std::string_view kw = tok[0];
 
     if (kw == "design") {
       if (tok.size() >= 2) design.name = tok[1];
@@ -388,11 +399,12 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       spec.drive_r = 0.0;
       bool ok = true;
       for (std::size_t i = 2; i < tok.size() && ok; ++i) {
-        std::string key;
-        std::string text;
+        std::string_view key;
+        std::string_view text;
         if (!split_option(tok[i], &key, &text)) {
-          findings.error(ErrorCode::kParseError, "cell: expected key=value, got '" + tok[i] + "'",
-                         line_no, spec.name);
+          findings.error(ErrorCode::kParseError,
+                         "cell: expected key=value, got '" + std::string(tok[i]) + "'", line_no,
+                         spec.name);
           ok = false;
           break;
         }
@@ -412,8 +424,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         } else if (key == "slewfactor") {
           spec.slew_factor = v;
         } else {
-          findings.error(ErrorCode::kParseError, "cell: unknown key '" + key + "'", line_no,
-                         spec.name);
+          findings.error(ErrorCode::kParseError, "cell: unknown key '" + std::string(key) + "'",
+                         line_no, spec.name);
           ok = false;
         }
       }
@@ -429,25 +441,23 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         findings.error(ErrorCode::kParseError, "net: missing name", line_no);
         continue;
       }
-      const std::string net_name = tok[1];
-      if (design.find_net(net_name) >= 0) {
+      std::string net_name(tok[1]);
+      if (net_index.find(net_name) != net_index.end()) {
         findings.error(ErrorCode::kDuplicateName, "duplicate net '" + net_name + "'", line_no,
                        net_name);
       }
-      // Collect the block verbatim up to `end`, then hand it to the tree
-      // netlist reader with this net's context (names + line offsets).
+      // Each block line goes straight to the tree-netlist parser, with
+      // its absolute line number, up to `end`.
       const int block_start = line_no;
-      std::string block;
+      circuit::TreeNetlistParser parser;
       bool closed = false;
       while (std::getline(is, line)) {
         ++line_no;
-        const std::vector<std::string> inner = tokenize(line);
-        if (!inner.empty() && inner[0] == "end") {
+        if (util::first_token(line) == "end") {
           closed = true;
           break;
         }
-        block += line;
-        block += '\n';
+        parser.parse_line(line, line_no);
       }
       if (!closed) {
         findings.error(ErrorCode::kParseError, "net '" + net_name + "': missing 'end'",
@@ -456,10 +466,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       }
       circuit::ReadContext ctx;
       ctx.net = net_name;
-      ctx.line_offset = block_start;
       ctx.report = findings.mirror();
-      std::istringstream block_is(block);
-      Result<circuit::RlcTree> tree = circuit::read_tree_netlist_checked(block_is, ctx);
+      Result<circuit::RlcTree> tree = std::move(parser).finish(ctx);
       if (!tree.is_ok()) {
         const Status& s = tree.status();
         findings.error(s.code(), s.message(), s.line() >= 0 ? s.line() : block_start, net_name);
@@ -471,39 +479,42 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
                        line_no, net_name);
         break;
       }
+      net_index.try_emplace(net_name, static_cast<int>(design.nets.size()));
       Net net;
-      net.name = net_name;
+      net.name = std::move(net_name);
       net.tree = std::move(tree).value();
       design.nets.push_back(std::move(net));
     } else if (kw == "input" || kw == "output") {
       RawPort port;
       port.is_input = kw == "input";
+      const std::string what(kw);
       port.line = line_no;
       if (tok.size() < 3) {
-        findings.error(ErrorCode::kParseError, kw + ": expected <port> <net>", line_no);
+        findings.error(ErrorCode::kParseError, what + ": expected <port> <net>", line_no);
         continue;
       }
       port.name = tok[1];
       if (port.is_input) {
         port.net = tok[2];
       } else if (!split_tap(tok[2], &port.net, &port.node)) {
-        findings.error(ErrorCode::kParseError, "output: expected <net>:<node>, got '" + tok[2] +
-                           "'",
+        findings.error(ErrorCode::kParseError,
+                       "output: expected <net>:<node>, got '" + std::string(tok[2]) + "'",
                        line_no, port.name);
         continue;
       }
       bool ok = true;
       for (std::size_t i = 3; i < tok.size() && ok; ++i) {
-        std::string key;
-        std::string text;
+        std::string_view key;
+        std::string_view text;
         if (!split_option(tok[i], &key, &text)) {
-          findings.error(ErrorCode::kParseError, kw + ": expected key=value, got '" + tok[i] + "'",
-                         line_no, port.name);
+          findings.error(ErrorCode::kParseError,
+                         what + ": expected key=value, got '" + std::string(tok[i]) + "'", line_no,
+                         port.name);
           ok = false;
           break;
         }
         double v = 0.0;
-        if (!parse_value(text, kw.c_str(), line_no, port.name, findings, &v)) {
+        if (!parse_value(text, what.c_str(), line_no, port.name, findings, &v)) {
           ok = false;
           break;
         }
@@ -520,8 +531,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
           port.required = v;
           port.has_required = true;
         } else {
-          findings.error(ErrorCode::kParseError, kw + ": unknown key '" + key + "'", line_no,
-                         port.name);
+          findings.error(ErrorCode::kParseError, what + ": unknown key '" + std::string(key) + "'",
+                         line_no, port.name);
           ok = false;
         }
       }
@@ -532,7 +543,7 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       if (tok.size() < 5) {
         findings.error(ErrorCode::kParseError,
                        "inst: expected <name> <cell> <outnet> <innet>:<node>...", line_no,
-                       tok.size() >= 2 ? tok[1] : "");
+                       tok.size() >= 2 ? std::string(tok[1]) : std::string());
         continue;
       }
       inst.name = tok[1];
@@ -543,7 +554,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         RawPin pin;
         if (!split_tap(tok[i], &pin.net, &pin.node)) {
           findings.error(ErrorCode::kParseError,
-                         "inst: expected <net>:<node>, got '" + tok[i] + "'", line_no, inst.name);
+                         "inst: expected <net>:<node>, got '" + std::string(tok[i]) + "'", line_no,
+                         inst.name);
           ok = false;
           break;
         }
@@ -556,15 +568,30 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
         findings.error(ErrorCode::kParseError, "clock: missing period", line_no);
         continue;
       }
-      if (parse_value(tok[1], "clock", line_no, "", findings, &v)) {
-        design.clock_period = v;
+      if (!parse_value(tok[1], "clock", line_no, "", findings, &v)) continue;
+      // A negative period would leave every clock-constrained endpoint
+      // silently untimed; Timer::Edit::set_clock_period rejects it too.
+      if (!util::valid_element_value(v)) {
+        findings.error(v < 0.0 ? ErrorCode::kNegativeValue : ErrorCode::kNonFiniteValue,
+                       "clock: period must be finite and non-negative", line_no);
+        continue;
       }
+      design.clock_period = v;
     } else {
-      findings.error(ErrorCode::kParseError, "unknown directive '" + kw + "'", line_no);
+      findings.error(ErrorCode::kParseError, "unknown directive '" + std::string(kw) + "'",
+                     line_no);
     }
   }
 
-  if (findings.ok()) finalize_design(design, raw_insts, raw_ports, findings);
+  if (findings.ok()) {
+    resolve_references(design, net_index, raw_insts, raw_ports, findings);
+    // Free the parse state before the snapshots allocate, so it does not
+    // add to the load's peak memory.
+    net_index = StringMap<int>();
+    raw_insts = std::vector<RawInst>();
+    raw_ports = std::vector<RawPort>();
+    finalize_design(design, findings);
+  }
   if (!findings.ok()) return findings.status();
   return design;
 }

@@ -220,6 +220,27 @@ TEST(ReadDesign, NegativeOrNonFiniteInputSlewRejected) {
   EXPECT_TRUE(zero.is_ok()) << zero.status().to_string();
 }
 
+TEST(ReadDesign, NegativeClockPeriodRejected) {
+  // A negative period used to load, leaving every clock-constrained
+  // endpoint silently unconstrained (WNS 0, no diagnostic), while
+  // Timer::Edit::set_clock_period rejects the same value.
+  std::string text = kGolden;
+  text.replace(text.find(" required=200p"), std::string(" required=200p").size(), "");
+  text.replace(text.find("clock 1n"), std::string("clock 1n").size(), "clock -100p");
+  DiagnosticsReport report;
+  util::Result<Design> r = parse(text, &report);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kNegativeValue);
+  EXPECT_EQ(r.status().line(), 18);
+  EXPECT_NE(r.status().message().find("clock"), std::string::npos);
+  EXPECT_EQ(report.error_count(), 1u);
+
+  text.replace(text.find("clock -100p"), std::string("clock -100p").size(), "clock 0");
+  util::Result<Design> zero = parse(text);
+  ASSERT_TRUE(zero.is_ok()) << zero.status().to_string();
+  EXPECT_EQ(zero.value().clock_period, 0.0);
+}
+
 TEST(ReadDesign, DoubleDrivenNetRejected) {
   util::Result<Design> r = parse(
       "net a\nsection s0 - R=1 L=0 C=1f\nend\n"

@@ -31,9 +31,13 @@ import argparse
 import json
 import sys
 
+# Largest allowed --scaling ratio: ns/unit at the large size over the
+# small size. A linear loader reads ~1.0-1.2; a quadratic lookup ~3.
+MAX_SCALING_RATIO = 1.5
 
-def parse_rows(data, path):
-    """Returns {(bench, n, samples): speedup} from decoded bench JSON.
+
+def parse_rows(data, path, field="speedup"):
+    """Returns {(bench, n, samples): row[field]} from decoded bench JSON.
 
     Malformed rows raise ValueError naming the row and the field — a
     truncated or hand-edited baseline must fail with a usable message,
@@ -45,25 +49,51 @@ def parse_rows(data, path):
     for i, row in enumerate(data):
         if not isinstance(row, dict):
             raise ValueError(f"{path}: row {i} is not an object")
-        for field in ("bench", "n", "samples", "speedup"):
-            if field not in row:
-                raise ValueError(f"{path}: row {i} is missing field '{field}'")
+        for name in ("bench", "n", "samples", field):
+            if name not in row:
+                raise ValueError(f"{path}: row {i} is missing field '{name}'")
         try:
             key = (row["bench"], int(row["n"]), int(row["samples"]))
-            speedup = float(row["speedup"])
+            value = float(row[field])
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: row {i} has a non-numeric field: {err}") from None
         if key in cells:
             raise ValueError(f"{path}: duplicate row key {key}")
-        cells[key] = speedup
+        cells[key] = value
     return cells
 
 
-def load_rows(path):
-    """Returns {(bench, n, samples): speedup} from a bench JSON file."""
+def load_rows(path, field="speedup"):
+    """Returns {(bench, n, samples): row[field]} from a bench JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return parse_rows(data, path)
+    return parse_rows(data, path, field)
+
+
+def scaling_ratio(ns_cells, bench, small_n, large_n, path):
+    """ns_per_section at large_n over small_n for one run's rows of `bench`.
+
+    Raises ValueError naming the run when either size is missing or the
+    small-size cost is not positive.
+    """
+    costs = {n: ns for (b, n, _), ns in ns_cells.items() if b == bench}
+    for n in (small_n, large_n):
+        if n not in costs:
+            raise ValueError(f"{path}: no '{bench}' row at n={n}")
+    if costs[small_n] <= 0.0:
+        raise ValueError(f"{path}: '{bench}' at n={small_n} has a non-positive cost")
+    return costs[large_n] / costs[small_n]
+
+
+def check_scaling(ratios, bench, small_n, large_n, max_ratio=MAX_SCALING_RATIO):
+    """Returns (ok, report line) for the best (lowest) of several runs' ratios."""
+    best = min(ratios)
+    runs = ", ".join(f"{r:.3g}" for r in ratios)
+    line = (
+        f"{bench}: ns/unit at n={large_n} over n={small_n} = {best:.3g} "
+        f"(best of [{runs}]), allowed <= {max_ratio:.3g}"
+    )
+    return best <= max_ratio, line
 
 
 def merge_best(cell_maps):
@@ -186,6 +216,31 @@ def self_test():
         raise AssertionError("non-object row accepted")
     except ValueError as err:
         assert "row 0 is not an object" in str(err), err
+    # Scaling cells: the ratio comes from one run's rows; the best run is
+    # gated, a missing size is a usage error, and the bound is inclusive.
+    linear = {("load", 2000, 1): 10.0, ("load", 16000, 1): 12.0, ("other", 2000, 1): 1.0}
+    quadratic = {("load", 2000, 1): 10.0, ("load", 16000, 1): 80.0}
+    assert abs(scaling_ratio(linear, "load", 2000, 16000, "a") - 1.2) < 1e-12
+    ok, line = check_scaling([1.2], "load", 2000, 16000, 1.5)
+    assert ok and "1.2" in line and "n=16000" in line, line
+    q = scaling_ratio(quadratic, "load", 2000, 16000, "b")
+    ok, line = check_scaling([q], "load", 2000, 16000, 1.5)
+    assert not ok and "8" in line, line
+    ok, _ = check_scaling([q, 1.2], "load", 2000, 16000, 1.5)
+    assert ok
+    ok, _ = check_scaling([1.5], "load", 2000, 16000, 1.5)
+    assert ok
+    try:
+        scaling_ratio({("load", 2000, 1): 10.0}, "load", 2000, 16000, "c.json")
+        raise AssertionError("missing scaling cell accepted")
+    except ValueError as err:
+        assert "c.json" in str(err) and "n=16000" in str(err), err
+    try:
+        parse_rows([{"bench": "k", "n": 2, "samples": 1, "speedup": 1.0}], "f.json",
+                   "ns_per_section")
+        raise AssertionError("missing ns_per_section accepted")
+    except ValueError as err:
+        assert "'ns_per_section'" in str(err), err
     print("bench_regress: self-test ok")
 
 
@@ -209,6 +264,15 @@ def main(argv):
         help="also fail when baseline cells are missing from the current run",
     )
     parser.add_argument(
+        "--scaling",
+        nargs=3,
+        metavar=("BENCH", "SMALL_N", "LARGE_N"),
+        help=(
+            f"gate ns/unit at LARGE_N over SMALL_N for BENCH in --current "
+            f"(no baseline; allowed <= {MAX_SCALING_RATIO})"
+        ),
+    )
+    parser.add_argument(
         "--self-test", action="store_true", help="run the built-in comparator checks and exit"
     )
     args = parser.parse_args(argv)
@@ -216,6 +280,25 @@ def main(argv):
     if args.self_test:
         self_test()
         return 0
+    if args.scaling:
+        if not args.current:
+            parser.error("--scaling needs --current")
+        bench = args.scaling[0]
+        try:
+            small_n, large_n = int(args.scaling[1]), int(args.scaling[2])
+        except ValueError:
+            parser.error("--scaling sizes must be integers")
+        try:
+            ratios = [
+                scaling_ratio(load_rows(p, "ns_per_section"), bench, small_n, large_n, p)
+                for p in args.current
+            ]
+        except (OSError, ValueError, json.JSONDecodeError) as err:
+            print(f"bench_regress: {err}", file=sys.stderr)
+            return 2
+        ok, line = check_scaling(ratios, bench, small_n, large_n)
+        print(f"{'SCALING  ' if ok else 'REGRESSED'} {line}")
+        return 0 if ok else 1
     if not args.baseline or not args.current:
         parser.error("--baseline and --current are required (or use --self-test)")
     if not 0.0 <= args.threshold < 1.0:
