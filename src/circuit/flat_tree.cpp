@@ -30,6 +30,14 @@ FlatTree::FlatTree(const RlcTree& tree) {
   }
 }
 
+RlcTree FlatTree::to_tree() const {
+  RlcTree tree;
+  for (std::size_t i = 0; i < parent_.size(); ++i) {
+    tree.add_section(parent_[i], {resistance_[i], inductance_[i], capacitance_[i]}, names_[i]);
+  }
+  return tree;
+}
+
 std::vector<SectionId> FlatTree::leaves() const {
   std::vector<SectionId> out;
   for (std::size_t i = 0; i < child_count_.size(); ++i) {

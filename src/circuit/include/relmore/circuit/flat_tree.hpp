@@ -21,7 +21,8 @@
 /// and the downward pass one forward scan — no pointer chasing, no child
 /// lists. A FlatTree is immutable: it is the fixed *topology* half of the
 /// batched same-topology kernels (engine::BatchedAnalyzer), which supply
-/// per-sample values separately.
+/// per-sample values separately. It is also the only in-memory form of a
+/// design net (sta::Net::flat).
 
 #include <cstddef>
 #include <string>
@@ -43,6 +44,12 @@ class FlatTree {
   /// Snapshots `tree` (values as of the call; later edits to the source
   /// tree are not reflected).
   explicit FlatTree(const RlcTree& tree);
+
+  /// The exact inverse of the snapshot: an RlcTree with the same ids,
+  /// parents, values and names, so `FlatTree(flat.to_tree())` equals
+  /// `flat` in every array. For editors (engine::TimingEngine) that need
+  /// the mutable child-list form of a tree that is stored flat.
+  [[nodiscard]] RlcTree to_tree() const;
 
   [[nodiscard]] std::size_t size() const { return parent_.size(); }
   [[nodiscard]] bool empty() const { return parent_.empty(); }

@@ -91,11 +91,11 @@ struct TreeModel {
 TreeModel analyze(const circuit::RlcTree& tree, const AnalyzeOptions& options);
 TreeModel analyze(const circuit::RlcTree& tree);
 
-/// Same analysis over a FlatTree snapshot — identical arithmetic in
-/// identical order (bitwise-equal results), but the sweeps read the
-/// contiguous SoA value arrays instead of the AoS section structs with
-/// their embedded name strings. This is the scalar fast path the batched
-/// kernels (engine::BatchedAnalyzer) generalize to many samples.
+/// Same analysis over a FlatTree snapshot — the same SoA kernel (the
+/// RlcTree overload gathers its sections into parent/R/L/C arrays first),
+/// so results are bitwise-equal; this form skips the gather. It is the
+/// scalar path the batched kernels (engine::BatchedAnalyzer) generalize to
+/// many samples.
 TreeModel analyze(const circuit::FlatTree& tree, const AnalyzeOptions& options);
 TreeModel analyze(const circuit::FlatTree& tree);
 

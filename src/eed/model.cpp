@@ -78,50 +78,44 @@ void apply_guards(TreeModel& model, FaultPolicy policy, const char* entry, doubl
   }
 }
 
-TreeModel analyze_impl(const RlcTree& tree, std::uint64_t* mul_count, FaultPolicy policy,
-                       const char* entry) {
-  if (tree.empty()) throw std::invalid_argument("eed::analyze: empty tree");
-  const std::size_t n = tree.size();
-  TreeModel model;
+/// The two moment passes (paper Appendix, Figs. 17–18) over SoA value
+/// arrays, writing into a reused `model`. The one scalar kernel: every
+/// analyze entry (RlcTree, FlatTree, analyze_values, analyze_counting)
+/// runs it, so they are bitwise-equal by construction. `mul_count`, when
+/// given, receives the multiplications the passes performed.
+void analyze_arrays(std::size_t n, const SectionId* parent, const double* r, const double* l,
+                    const double* c, TreeModel& model, FaultPolicy policy, const char* entry,
+                    std::uint64_t* mul_count = nullptr) {
   model.nodes.resize(n);
-  model.load_capacitance.assign(n, 0.0);
+  model.load_capacitance.assign(c, c + n);
+  model.fault_flags.clear();
+  model.fault_count = 0;
   std::uint64_t muls = 0;
 
-  // Upward pass (paper Fig. 17): total load capacitance per section.
-  // Children have larger ids than parents, so one reverse scan suffices.
-  for (std::size_t i = 0; i < n; ++i) {
-    model.load_capacitance[i] = tree.section(static_cast<SectionId>(i)).v.capacitance;
-  }
+  // Upward pass (Fig. 17): total load capacitance per section. Children
+  // have larger ids than parents, so one reverse scan suffices.
   for (std::size_t i = n; i-- > 0;) {
-    const SectionId parent = tree.section(static_cast<SectionId>(i)).parent;
-    if (parent != circuit::kInput) {
-      model.load_capacitance[static_cast<std::size_t>(parent)] += model.load_capacitance[i];
+    if (parent[i] != circuit::kInput) {
+      model.load_capacitance[static_cast<std::size_t>(parent[i])] += model.load_capacitance[i];
     }
   }
 
-  // Downward pass (paper Fig. 18): accumulate SR and SL along each path.
-  // SR_i = SR_parent + R_i * Ctot_i ; SL_i = SL_parent + L_i * Ctot_i.
-  // `lowest`/`poison` piggy-back the guard detection (see apply_guards);
-  // they read the freshly computed values and write nothing back.
+  // Downward pass (Fig. 18): SR_i = SR_parent + R_i * Ctot_i and
+  // SL_i = SL_parent + L_i * Ctot_i. `lowest`/`poison` piggy-back the guard
+  // detection (see apply_guards); they read the fresh values and write
+  // nothing back.
   double lowest = 0.0;
   double poison = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<SectionId>(i);
-    const auto& v = tree.section(id).v;
-    const SectionId parent = tree.section(id).parent;
-    const double sr_up = parent == circuit::kInput
-                             ? 0.0
-                             : model.nodes[static_cast<std::size_t>(parent)].sum_rc;
-    const double sl_up = parent == circuit::kInput
-                             ? 0.0
-                             : model.nodes[static_cast<std::size_t>(parent)].sum_lc;
+    const SectionId p = parent[i];
+    const double sr_up = p == circuit::kInput ? 0.0 : model.nodes[static_cast<std::size_t>(p)].sum_rc;
+    const double sl_up = p == circuit::kInput ? 0.0 : model.nodes[static_cast<std::size_t>(p)].sum_lc;
     NodeModel& nm = model.nodes[i];
-    nm.sum_rc = sr_up + v.resistance * model.load_capacitance[i];
-    nm.sum_lc = sl_up + v.inductance * model.load_capacitance[i];
+    nm.sum_rc = sr_up + r[i] * model.load_capacitance[i];
+    nm.sum_lc = sl_up + l[i] * model.load_capacitance[i];
     muls += 2;
     lowest = std::min(lowest, std::min(nm.sum_rc, std::min(nm.sum_lc, model.load_capacitance[i])));
     poison += nm.sum_rc * 0.0 + nm.sum_lc * 0.0;
-
     if (nm.sum_lc > 0.0) {
       const double root = std::sqrt(nm.sum_lc);
       nm.omega_n = 1.0 / root;
@@ -133,63 +127,38 @@ TreeModel analyze_impl(const RlcTree& tree, std::uint64_t* mul_count, FaultPolic
       nm.zeta = std::numeric_limits<double>::infinity();
     }
   }
-
   if (mul_count != nullptr) *mul_count = muls;
   apply_guards(model, policy, entry, lowest, poison);
+}
+
+/// analyze_arrays over an RlcTree's sections, gathered into SoA arrays.
+TreeModel analyze_tree(const RlcTree& tree, FaultPolicy policy, const char* entry,
+                       std::uint64_t* mul_count = nullptr) {
+  if (tree.empty()) throw std::invalid_argument("eed::analyze: empty tree");
+  const std::size_t n = tree.size();
+  std::vector<SectionId> parent(n);
+  std::vector<double> r(n);
+  std::vector<double> l(n);
+  std::vector<double> c(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const circuit::Section& s = tree.sections()[i];
+    parent[i] = s.parent;
+    r[i] = s.v.resistance;
+    l[i] = s.v.inductance;
+    c[i] = s.v.capacitance;
+  }
+  TreeModel model;
+  analyze_arrays(n, parent.data(), r.data(), l.data(), c.data(), model, policy, entry, mul_count);
   return model;
 }
 
 }  // namespace
 
 TreeModel analyze(const RlcTree& tree, const AnalyzeOptions& options) {
-  return analyze_impl(tree, nullptr, options.fault_policy, "eed::analyze");
+  return analyze_tree(tree, options.fault_policy, "eed::analyze");
 }
 
 TreeModel analyze(const RlcTree& tree) { return analyze(tree, AnalyzeOptions{}); }
-
-namespace {
-
-/// The two FlatTree moment passes over caller-supplied value arrays,
-/// writing into a reused `model`. Shared by analyze(FlatTree) and
-/// analyze_values; same arithmetic in the same order as analyze(RlcTree),
-/// so every entry stays bitwise-equal.
-void analyze_arrays(std::size_t n, const SectionId* parent, const double* r, const double* l,
-                    const double* c, TreeModel& model, FaultPolicy policy, const char* entry) {
-  model.nodes.resize(n);
-  model.load_capacitance.assign(c, c + n);
-  model.fault_flags.clear();
-  model.fault_count = 0;
-
-  for (std::size_t i = n; i-- > 0;) {
-    if (parent[i] != circuit::kInput) {
-      model.load_capacitance[static_cast<std::size_t>(parent[i])] += model.load_capacitance[i];
-    }
-  }
-
-  double lowest = 0.0;
-  double poison = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const SectionId p = parent[i];
-    const double sr_up = p == circuit::kInput ? 0.0 : model.nodes[static_cast<std::size_t>(p)].sum_rc;
-    const double sl_up = p == circuit::kInput ? 0.0 : model.nodes[static_cast<std::size_t>(p)].sum_lc;
-    NodeModel& nm = model.nodes[i];
-    nm.sum_rc = sr_up + r[i] * model.load_capacitance[i];
-    nm.sum_lc = sl_up + l[i] * model.load_capacitance[i];
-    lowest = std::min(lowest, std::min(nm.sum_rc, std::min(nm.sum_lc, model.load_capacitance[i])));
-    poison += nm.sum_rc * 0.0 + nm.sum_lc * 0.0;
-    if (nm.sum_lc > 0.0) {
-      const double root = std::sqrt(nm.sum_lc);
-      nm.omega_n = 1.0 / root;
-      nm.zeta = nm.sum_rc / (2.0 * root);
-    } else {
-      nm.omega_n = std::numeric_limits<double>::infinity();
-      nm.zeta = std::numeric_limits<double>::infinity();
-    }
-  }
-  apply_guards(model, policy, entry, lowest, poison);
-}
-
-}  // namespace
 
 TreeModel analyze(const circuit::FlatTree& tree, const AnalyzeOptions& options) {
   if (tree.empty()) throw std::invalid_argument("eed::analyze: empty tree");
@@ -242,8 +211,8 @@ util::Result<TreeModel> analyze_checked(const circuit::FlatTree& tree,
 
 CountedAnalysis analyze_counting(const RlcTree& tree, const AnalyzeOptions& options) {
   CountedAnalysis out;
-  out.model =
-      analyze_impl(tree, &out.stats.multiplications, options.fault_policy, "eed::analyze_counting");
+  out.model = analyze_tree(tree, options.fault_policy, "eed::analyze_counting",
+                           &out.stats.multiplications);
   out.stats.nodes = tree.size();
   out.stats.faulted_nodes = out.model.fault_count;
   return out;

@@ -144,9 +144,10 @@ int find_net(const StringMap<int>& net_index, std::string_view name) {
 }
 
 /// Resolves raw instance and port references into `design` through the
-/// reader's net-name index; findings carry every failure.
-void resolve_references(Design& design, const StringMap<int>& net_index,
-                        const std::vector<RawInst>& raw_insts,
+/// reader's net-name index; pin and port nodes resolve by name in the
+/// parsed `trees` (parallel to design.nets). Findings carry every failure.
+void resolve_references(Design& design, const std::vector<circuit::RlcTree>& trees,
+                        const StringMap<int>& net_index, const std::vector<RawInst>& raw_insts,
                         const std::vector<RawPort>& raw_ports, Findings& findings) {
   // --- resolve instances -------------------------------------------------
   // Instance and port names must be unique: find_port / path reports
@@ -185,7 +186,7 @@ void resolve_references(Design& design, const StringMap<int>& net_index,
         break;
       }
       Net& in_net = design.nets[static_cast<std::size_t>(p.net)];
-      const SectionId node = in_net.tree.find_by_name(pin.node);
+      const SectionId node = trees[static_cast<std::size_t>(p.net)].find_by_name(pin.node);
       if (node == circuit::kInput) {
         findings.error(ErrorCode::kInvalidArgument,
                        "net '" + pin.net + "' has no node named '" + pin.node + "'", ri.line,
@@ -249,7 +250,7 @@ void resolve_references(Design& design, const StringMap<int>& net_index,
       net.driver_kind = DriverKind::kPort;
       net.driver_index = static_cast<int>(design.ports.size());
     } else {
-      const SectionId node = net.tree.find_by_name(rp.node);
+      const SectionId node = trees[static_cast<std::size_t>(port.net)].find_by_name(rp.node);
       if (node == circuit::kInput) {
         findings.error(ErrorCode::kInvalidArgument,
                        "net '" + rp.net + "' has no node named '" + rp.node + "'", rp.line,
@@ -267,9 +268,10 @@ void resolve_references(Design& design, const StringMap<int>& net_index,
   }
 }
 
-/// Checks the resolved structure, folds pin caps, snapshots FlatTrees, and
-/// levelizes. Mutates `design` in place; findings carry every failure.
-void finalize_design(Design& design, Findings& findings) {
+/// Checks the resolved structure, folds pin caps into the parsed `trees`,
+/// snapshots each into its net's FlatTree and frees it, and levelizes.
+/// Mutates `design` in place; findings carry every failure.
+void finalize_design(Design& design, std::vector<circuit::RlcTree>& trees, Findings& findings) {
   // --- structural checks -------------------------------------------------
   bool have_input = false;
   bool have_endpoint = false;
@@ -297,15 +299,17 @@ void finalize_design(Design& design, Findings& findings) {
   design.epoch += 1;
   for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
     Net& net = design.nets[ni];
+    circuit::RlcTree& tree = trees[ni];
     for (const Net::Tap& tap : net.taps) {
       if (tap.is_port || tap.node == circuit::kInput) continue;
       const Instance& inst = design.instances[static_cast<std::size_t>(tap.index)];
       const Cell& cell = design.library.cell(static_cast<std::size_t>(inst.cell));
-      net.tree.values(tap.node).capacitance += cell.input_cap;
+      tree.values(tap.node).capacitance += cell.input_cap;
     }
-    net.total_cap = net.tree.total_capacitance();
-    net.flat = circuit::FlatTree(net.tree);
+    net.total_cap = tree.total_capacitance();
+    net.flat = circuit::FlatTree(tree);
     net.epoch = design.epoch;
+    tree = circuit::RlcTree();  // the snapshot is the net's only copy
   }
 
   // --- levelization (Kahn over net -> instance -> net edges) -------------
@@ -362,6 +366,9 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   design.library = std::move(base);
   std::vector<RawInst> raw_insts;
   std::vector<RawPort> raw_ports;
+  // The parsed tree of each net, parallel to design.nets. Each one lives
+  // only until finalize_design snapshots it into Net::flat.
+  std::vector<circuit::RlcTree> trees;
   // Net name -> index in design.nets, for the duplicate check here and for
   // every reference resolve_references resolves. It lives only as long as the
   // read: callers own and may edit the returned Design's vectors.
@@ -482,8 +489,8 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
       net_index.try_emplace(net_name, static_cast<int>(design.nets.size()));
       Net net;
       net.name = std::move(net_name);
-      net.tree = std::move(tree).value();
       design.nets.push_back(std::move(net));
+      trees.push_back(std::move(tree).value());
     } else if (kw == "input" || kw == "output") {
       RawPort port;
       port.is_input = kw == "input";
@@ -584,20 +591,16 @@ Result<Design> read_design_checked(std::istream& is, CellLibrary base,
   }
 
   if (findings.ok()) {
-    resolve_references(design, net_index, raw_insts, raw_ports, findings);
+    resolve_references(design, trees, net_index, raw_insts, raw_ports, findings);
     // Free the parse state before the snapshots allocate, so it does not
     // add to the load's peak memory.
     net_index = StringMap<int>();
     raw_insts = std::vector<RawInst>();
     raw_ports = std::vector<RawPort>();
-    finalize_design(design, findings);
+    finalize_design(design, trees, findings);
   }
   if (!findings.ok()) return findings.status();
   return design;
-}
-
-Design read_design(std::istream& is, CellLibrary base) {
-  return read_design_checked(is, std::move(base)).value();
 }
 
 }  // namespace relmore::sta

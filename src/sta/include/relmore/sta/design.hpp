@@ -29,6 +29,8 @@
 /// (Diagnostic::net), then *finalizes* the design: pin caps folded,
 /// per-net FlatTree snapshots stamped with the design epoch, total load
 /// per net precomputed, and nets levelized into a topological order.
+/// Each net is held only as its FlatTree: the parsed RlcTree is freed
+/// right after its snapshot.
 
 #include <cstdint>
 #include <iosfwd>
@@ -52,8 +54,7 @@ enum class DriverKind : std::uint8_t {
 /// One net: a named RLC tree plus its resolved connectivity.
 struct Net {
   std::string name;
-  circuit::RlcTree tree;      ///< parsed tree, pin caps folded into tap nodes
-  circuit::FlatTree flat;     ///< SoA snapshot of `tree` (analysis hot path)
+  circuit::FlatTree flat;     ///< the net's tree, pin caps folded into tap nodes
   std::uint64_t epoch = 0;    ///< design epoch at which `flat` was snapshot
   double total_cap = 0.0;     ///< load the net presents to its driver [F]
 
@@ -125,9 +126,5 @@ struct Design {
 [[nodiscard]] util::Result<Design> read_design_checked(std::istream& is,
                                                        CellLibrary base = generic_library(),
                                                        util::DiagnosticsReport* report = nullptr);
-
-/// Exception-compatible shim over read_design_checked: throws
-/// util::FaultError on any rejected corpus.
-[[nodiscard]] Design read_design(std::istream& is, CellLibrary base = generic_library());
 
 }  // namespace relmore::sta

@@ -7,7 +7,7 @@
 /// half is the EED closed form on the net's RLC tree (opt::time_stage).
 ///
 /// Tables interpolate bilinearly and clamp at the axis ends, the standard
-/// Liberty semantics. `linear_cell` builds tables from the classic linear
+/// Liberty semantics. `linear_cell_checked` builds tables from the classic linear
 /// gate model
 ///
 ///   delay(slew, load)  = intrinsic + drive_r * load + slew_gain * slew
@@ -46,10 +46,6 @@ class TimingTable {
   [[nodiscard]] static util::Result<TimingTable> create_checked(std::vector<double> slews,
                                                                 std::vector<double> loads,
                                                                 std::vector<double> values);
-
-  /// Exception-compatible shim over create_checked (throws util::FaultError).
-  [[nodiscard]] static TimingTable create(std::vector<double> slews, std::vector<double> loads,
-                                          std::vector<double> values);
 
   /// Bilinear interpolation, clamped to the axis ranges (Liberty
   /// semantics: queries beyond the characterized window use the edge
@@ -104,9 +100,6 @@ struct LinearCellSpec {
 /// interpolation for any in-range (slew, load). Returns kInvalidArgument
 /// on negative drive_r/input_cap or non-finite parameters.
 [[nodiscard]] util::Result<Cell> linear_cell_checked(const LinearCellSpec& spec);
-
-/// Exception-compatible shim over linear_cell_checked.
-[[nodiscard]] Cell linear_cell(const LinearCellSpec& spec);
 
 /// Named cell collection a Design resolves `inst` lines against.
 class CellLibrary {

@@ -119,11 +119,14 @@ class Timer {
   [[nodiscard]] util::Result<engine::TimingEngine*> engine_for(int net_index);
 
   std::unique_ptr<sta::Design> design_;        ///< stable address across moves
+  /// Checked once by load(): commits change values, never a net's
+  /// sections or taps, so the graph stays valid for the design's life.
+  std::optional<sta::TimingGraph> graph_;
   std::optional<sta::TimingResult> result_;
   sta::AnalyzeOptions options_;
   sta::CorpusCache cache_;                     ///< injected into analyze()
-  /// Lazily created per edited net, kept in sync with Net::tree across
-  /// commits (created on a net's first edit, dropped on load()).
+  /// Lazily created per edited net from its Net::flat (FlatTree::to_tree),
+  /// which each commit re-snapshots from the engine; dropped on load().
   std::map<int, engine::TimingEngine> engines_;
 };
 

@@ -111,11 +111,6 @@ Result<TimingTable> TimingTable::create_checked(std::vector<double> slews,
   return t;
 }
 
-TimingTable TimingTable::create(std::vector<double> slews, std::vector<double> loads,
-                                std::vector<double> values) {
-  return create_checked(std::move(slews), std::move(loads), std::move(values)).value();
-}
-
 double TimingTable::lookup(double input_slew, double load) const {
   if (values_.empty()) return 0.0;
   const std::uint32_t hint = hint_.load(std::memory_order_relaxed);
@@ -181,8 +176,6 @@ Result<Cell> linear_cell_checked(const LinearCellSpec& spec) {
   return cell;
 }
 
-Cell linear_cell(const LinearCellSpec& spec) { return linear_cell_checked(spec).value(); }
-
 void CellLibrary::add(Cell cell) {
   const int i = find(cell.name);
   if (i >= 0) {
@@ -201,11 +194,11 @@ int CellLibrary::find(const std::string& name) const {
 
 CellLibrary generic_library() {
   CellLibrary lib;
-  lib.add(linear_cell({"buf_x1", 500.0, 5e-15, 20e-12, 0.1, 1.0}));
-  lib.add(linear_cell({"buf_x4", 125.0, 20e-15, 15e-12, 0.1, 1.0}));
-  lib.add(linear_cell({"inv_x1", 400.0, 4e-15, 12e-12, 0.08, 1.0}));
-  lib.add(linear_cell({"nand2_x1", 600.0, 6e-15, 18e-12, 0.12, 1.0}));
-  lib.add(linear_cell({"dff_x1", 450.0, 3e-15, 60e-12, 0.05, 1.0}));
+  lib.add(linear_cell_checked({"buf_x1", 500.0, 5e-15, 20e-12, 0.1, 1.0}).value());
+  lib.add(linear_cell_checked({"buf_x4", 125.0, 20e-15, 15e-12, 0.1, 1.0}).value());
+  lib.add(linear_cell_checked({"inv_x1", 400.0, 4e-15, 12e-12, 0.08, 1.0}).value());
+  lib.add(linear_cell_checked({"nand2_x1", 600.0, 6e-15, 18e-12, 0.12, 1.0}).value());
+  lib.add(linear_cell_checked({"dff_x1", 450.0, 3e-15, 60e-12, 0.05, 1.0}).value());
   return lib;
 }
 

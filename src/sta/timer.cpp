@@ -28,6 +28,7 @@ Status Timer::load(sta::Design design) {
   Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*owned);
   if (!graph.is_ok()) return graph.status();
   design_ = std::move(owned);
+  graph_ = std::move(graph).value();
   result_.reset();
   cache_.clear();
   engines_.clear();
@@ -38,14 +39,12 @@ Result<sta::TimingSummary> Timer::analyze(const sta::AnalyzeOptions& options) {
   if (design_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
-  Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(*design_);
-  if (!graph.is_ok()) return graph.status();
   // The Timer's own cache rides along unless the caller plugged one in.
   // Injected per call (not stored in options_) so a moved Timer never
   // leaves a stale pointer to the old object's member behind.
   sta::AnalyzeOptions effective = options;
   if (effective.cache == nullptr) effective.cache = &cache_;
-  Result<sta::TimingResult> result = graph.value().analyze_checked(effective);
+  Result<sta::TimingResult> result = graph_->analyze_checked(effective);
   if (!result.is_ok()) return result.status();
   result_ = std::move(result).value();
   options_ = options;
@@ -100,7 +99,7 @@ Result<engine::TimingEngine*> Timer::engine_for(int net_index) {
   auto it = engines_.find(net_index);
   if (it == engines_.end()) {
     Result<engine::TimingEngine> eng = engine::TimingEngine::create_checked(
-        design_->nets[static_cast<std::size_t>(net_index)].tree);
+        design_->nets[static_cast<std::size_t>(net_index)].flat.to_tree());
     if (!eng.is_ok()) {
       return eng.status().with_net(design_->nets[static_cast<std::size_t>(net_index)].name);
     }
@@ -118,7 +117,7 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
     return Status(ErrorCode::kInvalidArgument, "edit: unknown net").with_net(net);
   }
   const circuit::SectionId sid =
-      design_->nets[static_cast<std::size_t>(ni)].tree.find_by_name(section);
+      design_->nets[static_cast<std::size_t>(ni)].flat.find_by_name(section);
   if (sid < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: net has no section named '" + section + "'")
         .with_net(net);
@@ -327,14 +326,10 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   design.epoch += 1;
   for (const int ni : touched) {
     sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-    const engine::TimingEngine& eng = engines_.at(ni);
-    for (std::size_t i = 0; i < net.tree.size(); ++i) {
-      net.tree.values(static_cast<circuit::SectionId>(i)) =
-          eng.tree().section(static_cast<circuit::SectionId>(i)).v;
-    }
-    net.flat = circuit::FlatTree(net.tree);
+    const circuit::RlcTree& tree = engines_.at(ni).tree();
+    net.flat = circuit::FlatTree(tree);
     net.epoch = design.epoch;
-    net.total_cap = net.tree.total_capacitance();
+    net.total_cap = tree.total_capacitance();
   }
   for (const Edit::Op& op : edit.ops_) {
     if (op.kind == Edit::OpKind::kPort) {
@@ -386,19 +381,16 @@ Result<Timer::EditOutcome> Timer::commit_edit(Edit& edit, const sta::AnalyzeOpti
   }
   EditOutcome outcome;
   if (result_.has_value() && result_->stop_status.is_ok() && can_update) {
-    Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
-    if (graph.is_ok()) {
-      sta::AnalyzeOptions effective = options;
-      if (effective.cache == nullptr) effective.cache = &cache_;
-      Result<sta::UpdateStats> stats =
-          graph.value().update_checked(*result_, *effective.cache, seeds, effective);
-      if (stats.is_ok() && stats.value().stop_status.is_ok()) {
-        outcome.incremental = true;
-        outcome.stats = stats.value();
-        return outcome;
-      }
-      if (stats.is_ok()) outcome.stats = stats.value();  // stopped: report why
+    sta::AnalyzeOptions effective = options;
+    if (effective.cache == nullptr) effective.cache = &cache_;
+    Result<sta::UpdateStats> stats =
+        graph_->update_checked(*result_, *effective.cache, seeds, effective);
+    if (stats.is_ok() && stats.value().stop_status.is_ok()) {
+      outcome.incremental = true;
+      outcome.stats = stats.value();
+      return outcome;
     }
+    if (stats.is_ok()) outcome.stats = stats.value();  // stopped: report why
   }
   // Any fallback path: the old analysis no longer matches the design.
   result_.reset();

@@ -247,10 +247,13 @@ Result<TimingGraph> TimingGraph::build_checked(const Design& design) {
                   "TimingGraph: design is not finalized (topological order incomplete)");
   }
   for (const Net& net : design.nets) {
-    if (net.flat.size() != net.tree.size()) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "TimingGraph: net snapshot is stale (re-run read_design)")
-          .with_net(net.name);
+    for (const Net::Tap& tap : net.taps) {
+      if (tap.node < 0 || static_cast<std::size_t>(tap.node) >= net.flat.size()) {
+        return Status(ErrorCode::kInvalidArgument,
+                      "TimingGraph: tap node " + std::to_string(tap.node) +
+                          " is not a section of the net")
+            .with_net(net.name);
+      }
     }
   }
   return TimingGraph(&design);
@@ -526,8 +529,8 @@ Result<std::vector<PathReport>> worst_paths_checked(const Design& design,
       const Net::Tap& t = net.taps[static_cast<std::size_t>(tap)];
       const PointTiming& tt = nt.taps[static_cast<std::size_t>(tap)];
       PathPoint wire;
-      wire.point = "net " + net.name + " @ " +
-                   net.tree.section(t.node).name;
+      wire.point =
+          "net " + net.name + " @ " + net.flat.names().at(static_cast<std::size_t>(t.node));
       wire.incr = nt.wire_delay[static_cast<std::size_t>(tap)];
       wire.arrival = tt.arrival;
       wire.slew = tt.slew;

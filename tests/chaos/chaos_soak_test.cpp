@@ -170,10 +170,11 @@ struct Schedule {
 /// must flag and never retry.
 void poison_net(sta::Design& design, std::size_t ni) {
   sta::Net& net = design.nets[ni];
-  relmore::circuit::SectionValues& v = net.tree.values(0);
+  relmore::circuit::RlcTree tree = net.flat.to_tree();
+  relmore::circuit::SectionValues& v = tree.values(0);
   v.resistance = 1e300;
   v.capacitance = 1e30;
-  net.flat = relmore::circuit::FlatTree(net.tree);
+  net.flat = relmore::circuit::FlatTree(tree);
 }
 
 sta::Design chaos_design() {

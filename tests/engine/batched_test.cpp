@@ -8,6 +8,7 @@
 /// so the match is in fact bitwise; 1 ulp is the promised contract.)
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -262,6 +263,24 @@ TEST(Batched, ValidatesInputs) {
   EXPECT_THROW((void)batch.analyze_nodes({99}), std::out_of_range);
 }
 
+/// Every array and name of `b` equals `a`'s, values compared bit for bit.
+void expect_same_flat(const circuit::FlatTree& a, const circuit::FlatTree& b) {
+  ASSERT_EQ(a.size(), b.size());
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(a.parent(), b.parent());
+  EXPECT_EQ(bits(a.resistance()), bits(b.resistance()));
+  EXPECT_EQ(bits(a.inductance()), bits(b.inductance()));
+  EXPECT_EQ(bits(a.capacitance()), bits(b.capacitance()));
+  EXPECT_EQ(a.child_count(), b.child_count());
+  EXPECT_EQ(a.level(), b.level());
+  EXPECT_EQ(a.depth(), b.depth());
+  EXPECT_EQ(a.names(), b.names());
+}
+
 TEST(FlatTree, SnapshotsTopologyValuesAndColdNames) {
   SectionId out = circuit::kInput;
   const circuit::RlcTree tree = circuit::make_fig8_tree(&out);
@@ -281,6 +300,15 @@ TEST(FlatTree, SnapshotsTopologyValuesAndColdNames) {
   EXPECT_EQ(flat.leaves(), tree.leaves());
   EXPECT_EQ(flat.find_by_name("O"), tree.find_by_name("O"));
   EXPECT_EQ(flat.find_by_name("no-such-name"), circuit::kInput);
+
+  // to_tree is the exact inverse of the snapshot.
+  expect_same_flat(flat, circuit::FlatTree(flat.to_tree()));
+  circuit::RandomTreeSpec spec;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const circuit::FlatTree random(circuit::make_random_tree(spec, seed));
+    expect_same_flat(random, circuit::FlatTree(random.to_tree()));
+  }
 }
 
 TEST(FlatTree, ScalarAnalyzeOverloadIsBitwiseEqual) {

@@ -47,7 +47,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   if (design.topo_nets.size() != design.nets.size()) std::abort();
   for (const sta::Net& net : design.nets) {
     if (net.driver_kind == sta::DriverKind::kNone) std::abort();
-    if (net.flat.size() != net.tree.size()) std::abort();
+    for (const sta::Net::Tap& tap : net.taps) {
+      if (tap.node < 0 || static_cast<std::size_t>(tap.node) >= net.flat.size()) std::abort();
+    }
     if (net.epoch != design.epoch) std::abort();
   }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,7 +16,6 @@ namespace {
 
 using util::DiagnosticsReport;
 using util::ErrorCode;
-using util::FaultError;
 
 /// The golden 3-stage corpus the timing tests hand-compute against:
 /// clk -> n0 -> u0(g1) -> n1 -> u1(g2) -> n2 -> out.
@@ -91,23 +92,20 @@ TEST(ReadDesign, GoldenParseResolvesEverything) {
 TEST(ReadDesign, PinCapsFoldedBeforeSnapshot) {
   const Design d = std::move(parse(kGolden)).value();
   const Net& net0 = d.nets[static_cast<std::size_t>(d.find_net("n0"))];
-  const circuit::SectionId s1 = net0.tree.find_by_name("s1");
+  const circuit::SectionId s1 = net0.flat.find_by_name("s1");
   ASSERT_NE(s1, circuit::kInput);
   // 10 fF wire C + 10 fF g1 pin cap at the tap node.
-  EXPECT_NEAR(net0.tree.section(s1).v.capacitance, 20e-15, 1e-27);
+  EXPECT_NEAR(net0.flat.capacitance()[static_cast<std::size_t>(s1)], 20e-15, 1e-27);
   EXPECT_NEAR(net0.total_cap, 30e-15, 1e-27);
   EXPECT_NEAR(d.nets[static_cast<std::size_t>(d.find_net("n1"))].total_cap, 30e-15, 1e-27);
   EXPECT_NEAR(d.nets[static_cast<std::size_t>(d.find_net("n2"))].total_cap, 25e-15, 1e-27);
 
-  // Snapshots were taken after folding and stamped with the design epoch.
+  // Snapshots were taken after folding and stamped with the design epoch;
+  // each net's load is its snapshot's C summed in id order, bit for bit.
   EXPECT_EQ(d.epoch, 1u);
   for (const Net& net : d.nets) {
     EXPECT_EQ(net.epoch, d.epoch);
-    ASSERT_EQ(net.flat.size(), net.tree.size());
-    for (std::size_t i = 0; i < net.tree.size(); ++i) {
-      EXPECT_DOUBLE_EQ(net.flat.capacitance()[i],
-                       net.tree.section(static_cast<circuit::SectionId>(i)).v.capacitance);
-    }
+    EXPECT_EQ(net.total_cap, net.flat.to_tree().total_capacitance());
   }
 }
 
@@ -301,9 +299,37 @@ TEST(ReadDesign, ReportCollectsEveryFinding) {
   EXPECT_GE(report.error_count(), 2u);
 }
 
-TEST(ReadDesign, ShimThrowsFaultError) {
-  std::istringstream is("garbage directive\n");
-  EXPECT_THROW((void)read_design(is), FaultError);
+TEST(ReadDesign, UnknownDirectiveRejectedWithParseError) {
+  const util::Result<Design> r = parse("garbage directive\n");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kParseError);
+}
+
+/// Heap bytes the allocator reports in use (0 when it reports nothing,
+/// as under the sanitizers' allocators).
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(ReadDesign, HeapPerSectionWithinBudget) {
+  SyntheticSpec spec;
+  spec.nets = 2000;
+  std::istringstream is(make_synthetic_design_text(spec));
+  const std::size_t before = heap_in_use();
+  util::Result<Design> r = read_design_checked(is);
+  const std::size_t after = heap_in_use();
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  if (after <= before) GTEST_SKIP() << "allocator reports no heap growth";
+  std::size_t sections = 0;
+  for (const Net& net : r.value().nets) sections += net.flat.size();
+  ASSERT_GT(sections, 0u);
+  // One FlatTree per net: the parsed RlcTrees are freed by the reader.
+  // ~134 B/section on glibc x86-64; keeping each parsed tree next to its
+  // snapshot costs ~290.
+  const double per_section =
+      static_cast<double>(after - before) / static_cast<double>(sections);
+  EXPECT_LE(per_section, 200.0);
 }
 
 TEST(SyntheticDesign, LoadsAndFinalizes) {

@@ -151,10 +151,12 @@ TEST(TimerEdit, IdenticalValuesCutOffAtTheFrontier) {
   const int ni = design.find_net("n0_0");
   ASSERT_GE(ni, 0);
   const sta::Net& net = design.nets[static_cast<std::size_t>(ni)];
-  const circuit::SectionId sid = net.tree.find_by_name("s1");
+  const circuit::SectionId sid = net.flat.find_by_name("s1");
   ASSERT_GE(sid, 0);
-  circuit::SectionValues wire = net.tree.section(sid).v;
-  // section(sid).v holds the FOLDED capacitance; undo the pin-cap fold so
+  const auto i = static_cast<std::size_t>(sid);
+  circuit::SectionValues wire{net.flat.resistance()[i], net.flat.inductance()[i],
+                              net.flat.capacitance()[i]};
+  // The snapshot holds the FOLDED capacitance; undo the pin-cap fold so
   // the edit's re-fold lands on the same bits.
   for (const sta::Net::Tap& tap : net.taps) {
     if (tap.node == sid && !tap.is_port) {

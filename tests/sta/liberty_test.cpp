@@ -25,7 +25,7 @@ TEST(TimingTable, BilinearInterpolationIsExactForBilinearData) {
   for (const double si : s) {
     for (const double li : l) v.push_back(2.0 + 3.0 * si + 5.0 * li + 7.0 * si * li);
   }
-  const TimingTable t = TimingTable::create(s, l, v);
+  const TimingTable t = TimingTable::create_checked(s, l, v).value();
   for (const double qs : {0.0, 0.5, 1.0, 2.5, 4.0}) {
     for (const double ql : {0.0, 1.0, 2.0, 2.9, 3.0}) {
       EXPECT_NEAR(t.lookup(qs, ql), 2.0 + 3.0 * qs + 5.0 * ql + 7.0 * qs * ql, 1e-12)
@@ -35,7 +35,8 @@ TEST(TimingTable, BilinearInterpolationIsExactForBilinearData) {
 }
 
 TEST(TimingTable, ClampsOutsideTheGrid) {
-  const TimingTable t = TimingTable::create({0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0, 2.0, 3.0});
+  const TimingTable t =
+      TimingTable::create_checked({0.0, 1.0}, {0.0, 1.0}, {0.0, 1.0, 2.0, 3.0}).value();
   EXPECT_DOUBLE_EQ(t.lookup(-5.0, -5.0), t.lookup(0.0, 0.0));
   EXPECT_DOUBLE_EQ(t.lookup(9.0, 9.0), t.lookup(1.0, 1.0));
 }
@@ -48,7 +49,7 @@ TEST(LinearCell, TablesMatchTheClosedForm) {
   spec.intrinsic = 7e-12;
   spec.slew_gain = 0.25;
   spec.slew_factor = 1.0;
-  const Cell cell = linear_cell(spec);
+  const Cell cell = linear_cell_checked(spec).value();
   for (const double slew : {0.0, 20e-12, 130e-12, 1e-9}) {
     for (const double load : {0.0, 12e-15, 80e-15, 2e-12}) {
       EXPECT_NEAR(cell.arc_delay(slew, load),
@@ -79,7 +80,7 @@ TEST(CellLibrary, AddFindAndOverride) {
   spec.name = "buf_x1";
   spec.drive_r = 1.0;
   spec.intrinsic = 99e-12;
-  lib.add(linear_cell(spec));
+  lib.add(linear_cell_checked(spec).value());
   EXPECT_EQ(lib.size(), before);  // override, not append
   const int i = lib.find("buf_x1");
   ASSERT_GE(i, 0);

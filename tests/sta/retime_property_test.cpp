@@ -74,13 +74,12 @@ void record_random_op(Rng& rng, const sta::Design& design, Timer::Edit& edit) {
     case 1:
     case 2: {  // wire value edit (the common what-if), weighted up
       const sta::Net& net = design.nets[rng.below(design.nets.size())];
-      const circuit::Section& sec =
-          net.tree.section(static_cast<circuit::SectionId>(rng.below(net.tree.size())));
+      const std::string& section = net.flat.names()[rng.below(net.flat.size())];
       circuit::SectionValues wire;
       wire.resistance = 10.0 + 120.0 * rng.unit();
       wire.inductance = rng.below(2) == 0 ? 0.0 : 1e-12 * rng.unit();
       wire.capacitance = 4e-15 + 50e-15 * rng.unit();
-      ASSERT_TRUE(edit.set_net_section_values(net.name, sec.name, wire).is_ok());
+      ASSERT_TRUE(edit.set_net_section_values(net.name, section, wire).is_ok());
       break;
     }
     case 3: {  // cell swap

@@ -282,10 +282,15 @@ TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {
   Design empty;
   EXPECT_EQ(TimingGraph::build_checked(empty).status().code(), ErrorCode::kEmptyTree);
 
+  // A hand-edited net whose tree no longer holds its tap node (s1) is
+  // rejected by name, not read out of bounds.
   Design d = parse(kGolden);
-  d.nets[0].tree.add_section(circuit::kInput, 1.0, 0.0, 1e-15, "stale");
+  circuit::RlcTree shrunk;
+  shrunk.add_section(circuit::kInput, 1.0, 0.0, 1e-15, "s0");
+  d.nets[0].flat = circuit::FlatTree(shrunk);
   util::Result<TimingGraph> g = TimingGraph::build_checked(d);
-  ASSERT_FALSE(g.is_ok());  // flat snapshot no longer matches the tree
+  ASSERT_FALSE(g.is_ok());
+  EXPECT_EQ(g.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(g.status().net(), "n0");
 }
 
