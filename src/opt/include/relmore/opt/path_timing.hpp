@@ -37,7 +37,32 @@ struct PathTiming {
 };
 
 /// Stage delay and output rise for a linear-ramp input with the given rise
-/// time (0 = ideal step), computed from the closed-form ramp response.
+/// time (0 = ideal step: the fitted closed forms eed::delay_50 and
+/// eed::rise_time). A ramp is solved for the first 10/50/90% crossings of
+/// the closed-form ramp response in normalized time τ = ωₙ·t (τ = t/ΣRC
+/// for RC-limit nodes), where the response depends on ζ and ρ = ωₙ·rise
+/// alone, so the result's relative precision does not depend on the net's
+/// time scale. Each crossing is a safeguarded Newton solve inside a
+/// bracket proven to hold the *first* crossing:
+///
+///  - With g the unit step response, y(τ) = (1/ρ)∫_{τ−ρ}^{τ} g and
+///    y'(τ) = (g(τ) − g(τ−ρ))/ρ. g ≥ 0 and g is non-decreasing on
+///    [0, π/ω_d] (everywhere when ζ ≥ 1), so y' ≥ 0 on
+///    [0, max(ρ, π/ω_d)]: for τ ≤ ρ, y' = g(τ)/ρ; past ρ the window lies
+///    inside [0, π/ω_d].
+///  - Past ρ, y' is one damped sinusoid, so y keeps rising from there to
+///    its next maximum τ_p (explicit from the sinusoid's phase), and every
+///    maximum of y past ρ lies above 1.
+///  - So y is non-decreasing on [0, τ_p] (τ_p = ∞ when ζ ≥ 1) and reaches
+///    every level below 1 there: a bracket inside it with
+///    y(lo) < L ≤ y(hi) holds exactly one crossing, the first.
+///  - A second argument: |y'| ≤ M = e^{−ζ·atan2(ω_d, ζ)/ω_d} ≤ 1, the peak
+///    of |g'|, so a walk τ += (L − y)/M cannot skip a crossing. The solver
+///    needs no walk because τ_p bounds a monotone bracket (docs/sta.md).
+///
+/// Throws std::invalid_argument for a negative or non-finite rise, and
+/// std::runtime_error for a node model without a defined response
+/// (negative or non-finite ζ or ΣRC, non-positive ωₙ).
 [[nodiscard]] StageTiming time_stage(const eed::NodeModel& node, double input_rise_seconds);
 
 /// Walks the path: stage k is driven by a ramp whose rise time equals

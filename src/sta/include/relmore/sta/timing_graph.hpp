@@ -188,6 +188,10 @@ class TimingGraph {
 [[nodiscard]] util::Result<double> endpoint_slack_checked(const Design& design,
                                                           const TimingResult& result,
                                                           const std::string& port);
+/// The same, for the port at `port_index` in `design.ports` (in range).
+[[nodiscard]] util::Result<double> endpoint_slack_checked(const Design& design,
+                                                        const TimingResult& result,
+                                                        int port_index);
 
 /// The `k` worst (smallest-slack) constrained endpoints' critical paths,
 /// backtracked through winning arcs. Fewer than `k` when the design has

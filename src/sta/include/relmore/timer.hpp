@@ -118,6 +118,12 @@ class Timer {
                                                       const sta::AnalyzeOptions& options);
   [[nodiscard]] util::Result<engine::TimingEngine*> engine_for(int net_index);
 
+  /// Name → index tables over the loaded design's own net, instance and
+  /// port names (defined in timer.cpp).
+  struct NameIndex;
+  /// Built on the first name lookup, so load() pays nothing for it.
+  [[nodiscard]] const NameIndex& names();
+
   std::unique_ptr<sta::Design> design_;        ///< stable address across moves
   /// Checked once by load(): commits change values, never a net's
   /// sections or taps, so the graph stays valid for the design's life.
@@ -128,6 +134,7 @@ class Timer {
   /// Lazily created per edited net from its Net::flat (FlatTree::to_tree),
   /// which each commit re-snapshots from the engine; dropped on load().
   std::map<int, engine::TimingEngine> engines_;
+  std::unique_ptr<NameIndex> names_;           ///< dropped on load()
 };
 
 /// One what-if edit transaction (Timer::edit()). Ops validate their

@@ -1,7 +1,10 @@
 #include "relmore/timer.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <ostream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -10,6 +13,54 @@ namespace relmore {
 using util::ErrorCode;
 using util::Result;
 using util::Status;
+
+namespace {
+
+/// Open-addressing hash table of indices into a list the design owns,
+/// keyed by each item's `name` (4 bytes per slot, load factor <= 1/2). A
+/// duplicate name keeps its first index, matching a front-to-back scan.
+template <class Item>
+class NameTable {
+ public:
+  explicit NameTable(const std::vector<Item>& items) : items_(items) {
+    std::size_t capacity = 2;
+    while (capacity < 2 * items.size()) capacity *= 2;
+    slots_.assign(capacity, -1);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      std::size_t s = slot(items[i].name);
+      while (slots_[s] >= 0 && items[static_cast<std::size_t>(slots_[s])].name != items[i].name) {
+        s = (s + 1) & (slots_.size() - 1);
+      }
+      if (slots_[s] < 0) slots_[s] = static_cast<std::int32_t>(i);
+    }
+  }
+
+  /// Index of the item named `name`, or -1.
+  [[nodiscard]] int find(std::string_view name) const {
+    for (std::size_t s = slot(name); slots_[s] >= 0; s = (s + 1) & (slots_.size() - 1)) {
+      if (items_[static_cast<std::size_t>(slots_[s])].name == name) return slots_[s];
+    }
+    return -1;
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot(std::string_view name) const {
+    return std::hash<std::string_view>{}(name) & (slots_.size() - 1);
+  }
+
+  const std::vector<Item>& items_;
+  std::vector<std::int32_t> slots_;
+};
+
+}  // namespace
+
+struct Timer::NameIndex {
+  explicit NameIndex(const sta::Design& d) : nets(d.nets), instances(d.instances), ports(d.ports) {}
+
+  NameTable<sta::Net> nets;
+  NameTable<sta::Instance> instances;
+  NameTable<sta::DesignPort> ports;
+};
 
 Timer::Timer() = default;
 Timer::~Timer() = default;
@@ -32,6 +83,7 @@ Status Timer::load(sta::Design design) {
   result_.reset();
   cache_.clear();
   engines_.clear();
+  names_.reset();
   return Status::ok();
 }
 
@@ -64,7 +116,9 @@ Result<double> Timer::slack(const std::string& endpoint) {
     return Status(ErrorCode::kInvalidArgument, "Timer: no design loaded");
   }
   if (Status s = ensure_analyzed(); !s.is_ok()) return s;
-  return sta::endpoint_slack_checked(*design_, *result_, endpoint);
+  const int pi = names().ports.find(endpoint);
+  if (pi < 0) return Status(ErrorCode::kInvalidArgument, "unknown port '" + endpoint + "'");
+  return sta::endpoint_slack_checked(*design_, *result_, pi);
 }
 
 Result<std::vector<sta::PathReport>> Timer::report_worst_paths(std::size_t k) {
@@ -95,6 +149,11 @@ Timer::Edit Timer::edit() {
   return Edit(this, design_.get(), design_ != nullptr ? design_->epoch : 0);
 }
 
+const Timer::NameIndex& Timer::names() {
+  if (names_ == nullptr) names_ = std::make_unique<NameIndex>(*design_);
+  return *names_;
+}
+
 Result<engine::TimingEngine*> Timer::engine_for(int net_index) {
   auto it = engines_.find(net_index);
   if (it == engines_.end()) {
@@ -112,7 +171,10 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
                                            const circuit::SectionValues& wire) {
   if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int ni = design_->find_net(net);
+  if (design_ != timer_->design_.get()) {
+    return Status(ErrorCode::kInvalidArgument, "edit: design changed since the handle was opened");
+  }
+  const int ni = timer_->names().nets.find(net);
   if (ni < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown net").with_net(net);
   }
@@ -141,13 +203,10 @@ Status Timer::Edit::set_net_section_values(const std::string& net, const std::st
 Status Timer::Edit::set_cell(const std::string& instance, const std::string& cell) {
   if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  int inst = -1;
-  for (std::size_t i = 0; i < design_->instances.size(); ++i) {
-    if (design_->instances[i].name == instance) {
-      inst = static_cast<int>(i);
-      break;
-    }
+  if (design_ != timer_->design_.get()) {
+    return Status(ErrorCode::kInvalidArgument, "edit: design changed since the handle was opened");
   }
+  const int inst = timer_->names().instances.find(instance);
   if (inst < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown instance").with_net(instance);
   }
@@ -167,7 +226,10 @@ Status Timer::Edit::set_cell(const std::string& instance, const std::string& cel
 Status Timer::Edit::set_port_required(const std::string& port, double required) {
   if (design_ == nullptr) return Status(ErrorCode::kInvalidArgument, "edit: no design loaded");
   if (done_) return Status(ErrorCode::kTransactionState, "edit: handle already committed");
-  const int pi = design_->find_port(port);
+  if (design_ != timer_->design_.get()) {
+    return Status(ErrorCode::kInvalidArgument, "edit: design changed since the handle was opened");
+  }
+  const int pi = timer_->names().ports.find(port);
   if (pi < 0) {
     return Status(ErrorCode::kInvalidArgument, "edit: unknown port").with_net(port);
   }

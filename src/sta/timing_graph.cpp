@@ -10,6 +10,7 @@
 
 #include "relmore/opt/path_timing.hpp"
 #include "relmore/util/deadline.hpp"
+#include "relmore/util/fault_injector.hpp"
 
 namespace relmore::sta {
 
@@ -100,6 +101,9 @@ int forward_time_net(const Design& design, int ni, const NetModels& models,
   if (!nt.driver.timed || nt.faulted) return winning;
   for (std::size_t t = 0; t < net.taps.size(); ++t) {
     try {
+      if (util::fault_should_fire(util::FaultSite::kStageSolve)) {
+        throw util::FaultError(util::FaultInjector::fire_status(util::FaultSite::kStageSolve));
+      }
       const opt::StageTiming stage = opt::time_stage(models.taps[t], nt.driver.slew);
       nt.taps[t].timed = true;
       nt.taps[t].arrival = nt.driver.arrival + stage.delay;
@@ -486,15 +490,20 @@ Result<double> endpoint_slack_checked(const Design& design, const TimingResult& 
   if (pi < 0) {
     return Status(ErrorCode::kInvalidArgument, "unknown port '" + port + "'");
   }
-  const DesignPort& p = design.ports[static_cast<std::size_t>(pi)];
+  return endpoint_slack_checked(design, result, pi);
+}
+
+Result<double> endpoint_slack_checked(const Design& design, const TimingResult& result,
+                                      int port_index) {
+  const DesignPort& p = design.ports.at(static_cast<std::size_t>(port_index));
   if (p.is_input) {
-    return Status(ErrorCode::kInvalidArgument, "port '" + port + "' is not an endpoint");
+    return Status(ErrorCode::kInvalidArgument, "port '" + p.name + "' is not an endpoint");
   }
   const PointTiming& tt =
       result.nets[static_cast<std::size_t>(p.net)].taps[static_cast<std::size_t>(p.tap)];
   if (!tt.timed) {
     return Status(ErrorCode::kNonFiniteMoment,
-                  "endpoint '" + port + "' is untimed (faulted fanout cone)")
+                  "endpoint '" + p.name + "' is untimed (faulted fanout cone)")
         .with_net(design.nets[static_cast<std::size_t>(p.net)].name);
   }
   return tt.required - tt.arrival;

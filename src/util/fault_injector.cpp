@@ -48,6 +48,7 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kPoolDelay: return "pool-delay";
     case FaultSite::kPoolAbort: return "pool-abort";
     case FaultSite::kParseTruncate: return "parse-truncate";
+    case FaultSite::kStageSolve: return "stage-solve";
   }
   return "unknown";
 }

@@ -48,8 +48,9 @@ enum class FaultSite : std::uint8_t {
   kPoolDelay,       ///< engine::BatchAnalyzer worker sleeps before a task
   kPoolAbort,       ///< engine::BatchAnalyzer task throws FaultError
   kParseTruncate,   ///< sta::read_design_checked stops mid-deck
+  kStageSolve,      ///< sta wire-stage solve (opt::time_stage) throws
 };
-inline constexpr std::size_t kFaultSiteCount = 5;
+inline constexpr std::size_t kFaultSiteCount = 6;
 
 /// Stable site name ("arena-alloc", ...), the RELMORE_FAULTS key.
 [[nodiscard]] const char* fault_site_name(FaultSite site);

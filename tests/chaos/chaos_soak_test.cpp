@@ -36,6 +36,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "relmore/sta/corpus.hpp"
@@ -469,6 +470,159 @@ TEST(ChaosSoak, WnsBitwiseStableAcrossRecoveredFaults) {
       EXPECT_EQ(bits(got.endpoints_by_slack[e].slack), bits(want.endpoints_by_slack[e].slack));
     }
   }
+}
+
+// --- stage-solve: a wire-stage solve that throws --------------------------
+
+/// Nets in forward-sweep order with their stage-solve hit counts: every
+/// timed, healthy net hits the site once per tap.
+std::vector<std::pair<int, std::size_t>> stage_hits(const sta::Design& design,
+                                                    const sta::TimingResult& clean) {
+  std::vector<std::pair<int, std::size_t>> out;
+  for (const int ni : design.topo_nets) {
+    const sta::NetTiming& nt = clean.nets[static_cast<std::size_t>(ni)];
+    if (nt.driver.timed && !nt.faulted) out.emplace_back(ni, nt.taps.size());
+  }
+  return out;
+}
+
+/// The net whose solve takes hit `h` of a fault-free sweep.
+int net_at_hit(const std::vector<std::pair<int, std::size_t>>& hits, std::uint64_t h) {
+  for (const auto& [ni, taps] : hits) {
+    if (h < taps) return ni;
+    h -= taps;
+  }
+  return -1;
+}
+
+/// A seed arming `stage-solve:every=N` to fire first on hit `h` (< N).
+std::uint64_t seed_for_hit(std::uint64_t h, std::uint64_t every) {
+  const auto site = static_cast<std::uint64_t>(FaultSite::kStageSolve);
+  for (std::uint64_t seed = 0;; ++seed) {
+    if (splitmix64(seed ^ site) % every == h) return seed;
+  }
+}
+
+std::size_t stage_diagnostics(const ru::DiagnosticsReport& report, const std::string& net) {
+  return count_if_diag(report, [&](const ru::Diagnostic& d) {
+    return !d.warning && d.net == net &&
+           d.message.find("stage delay solve failed") != std::string::npos;
+  });
+}
+
+void expect_same_timing(const sta::TimingResult& got, const sta::TimingResult& want) {
+  ASSERT_EQ(got.nets.size(), want.nets.size());
+  for (std::size_t ni = 0; ni < got.nets.size(); ++ni) {
+    const sta::NetTiming& a = got.nets[ni];
+    const sta::NetTiming& b = want.nets[ni];
+    EXPECT_EQ(a.faulted, b.faulted) << "net " << ni;
+    ASSERT_EQ(a.taps.size(), b.taps.size());
+    for (std::size_t t = 0; t < a.taps.size(); ++t) {
+      EXPECT_EQ(a.taps[t].timed, b.taps[t].timed) << "net " << ni << " tap " << t;
+      EXPECT_EQ(bits(a.taps[t].arrival), bits(b.taps[t].arrival)) << "net " << ni;
+      EXPECT_EQ(bits(a.taps[t].slew), bits(b.taps[t].slew)) << "net " << ni;
+      EXPECT_EQ(bits(a.taps[t].required), bits(b.taps[t].required)) << "net " << ni;
+    }
+  }
+  EXPECT_EQ(got.summary.faulted_nets, want.summary.faulted_nets);
+  EXPECT_EQ(bits(got.summary.wns), bits(want.summary.wns));
+  EXPECT_EQ(bits(got.summary.tns), bits(want.summary.tns));
+  EXPECT_EQ(got.summary.untimed_endpoints, want.summary.untimed_endpoints);
+}
+
+TEST(ChaosSoak, StageSolveFaultIsCountedAndNamedOnItsNet) {
+  InjectorGuard guard;
+  const sta::Design design = chaos_design();
+  const auto graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  const auto clean = graph.value().analyze_checked();
+  ASSERT_TRUE(clean.is_ok());
+  ASSERT_EQ(clean.value().summary.faulted_nets, 0u);
+  const auto hits = stage_hits(design, clean.value());
+  std::size_t total_hits = 0;
+  for (const auto& [ni, taps] : hits) total_hits += taps;
+  ASSERT_GT(total_hits, 4u);
+
+  // Sweep (every, seed): each single fire lands on the net owning that
+  // hit, faults it alone, and is counted and named exactly once.
+  for (std::uint64_t every = 1; every <= total_hits; every += 3) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const std::string spec = "stage-solve:every=" + std::to_string(every) +
+                               ":seed=" + std::to_string(seed) + ":limit=1";
+      ASSERT_TRUE(FaultInjector::instance().arm_spec(spec).is_ok());
+      const auto faulty = graph.value().analyze_checked();
+      const std::uint64_t fires = FaultInjector::instance().fire_count(FaultSite::kStageSolve);
+      FaultInjector::instance().disarm_all();
+      ASSERT_TRUE(faulty.is_ok()) << spec;
+      ASSERT_EQ(fires, 1u) << spec;
+
+      const std::uint64_t phase =
+          splitmix64(seed ^ static_cast<std::uint64_t>(FaultSite::kStageSolve)) % every;
+      const int target = net_at_hit(hits, phase);
+      ASSERT_GE(target, 0) << spec;
+      const sta::TimingResult& r = faulty.value();
+      for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+        EXPECT_EQ(r.nets[ni].faulted, static_cast<int>(ni) == target) << spec << " net " << ni;
+      }
+      EXPECT_EQ(r.summary.faulted_nets, 1u) << spec;
+      EXPECT_EQ(stage_diagnostics(r.diagnostics, design.nets[static_cast<std::size_t>(target)].name),
+                1u)
+          << spec;
+      EXPECT_EQ(count_if_diag(r.diagnostics, [](const ru::Diagnostic& d) { return !d.warning; }),
+                1u)
+          << spec;
+    }
+  }
+}
+
+TEST(ChaosSoak, StageSolveFaultIncrementalMatchesFullAnalysis) {
+  InjectorGuard guard;
+  relmore::Timer timer;
+  ASSERT_TRUE(timer.load(chaos_design()).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+
+  // Edit one mid-design net, then fault the first stage solve of the
+  // incremental re-time: that is the edited net's first tap.
+  const int target = design.topo_nets[design.topo_nets.size() / 2];
+  const sta::Net& net = design.nets[static_cast<std::size_t>(target)];
+  const std::string section = net.flat.names().back();
+  relmore::Timer::Edit edit = timer.edit();
+  ASSERT_TRUE(edit.set_net_section_values(net.name, section, {57.0, 0.4e-9, 21e-15}).is_ok());
+  ASSERT_TRUE(FaultInjector::instance().arm_spec("stage-solve:every=1:limit=1").is_ok());
+  const auto outcome = edit.commit();
+  const std::uint64_t fires = FaultInjector::instance().fire_count(FaultSite::kStageSolve);
+  FaultInjector::instance().disarm_all();
+  ASSERT_TRUE(outcome.is_ok()) << outcome.status().message();
+  ASSERT_TRUE(outcome.value().incremental);
+  ASSERT_EQ(fires, 1u);
+  const sta::TimingResult& updated = *timer.result();
+  EXPECT_TRUE(updated.nets[static_cast<std::size_t>(target)].faulted);
+  EXPECT_EQ(updated.summary.faulted_nets, 1u);
+  EXPECT_EQ(stage_diagnostics(updated.diagnostics, net.name), 1u);
+
+  // Full analysis of the edited design with the fault on the same solve.
+  const auto graph = sta::TimingGraph::build_checked(design);
+  ASSERT_TRUE(graph.is_ok());
+  const auto clean = graph.value().analyze_checked();
+  ASSERT_TRUE(clean.is_ok());
+  const auto hits = stage_hits(design, clean.value());
+  std::uint64_t hit = 0;
+  std::size_t total_hits = 0;
+  for (const auto& [ni, taps] : hits) {
+    if (ni == target) hit = total_hits;
+    total_hits += taps;
+  }
+  const std::uint64_t every = total_hits + 1;
+  const std::string spec = "stage-solve:every=" + std::to_string(every) +
+                           ":seed=" + std::to_string(seed_for_hit(hit, every)) + ":limit=1";
+  ASSERT_TRUE(FaultInjector::instance().arm_spec(spec).is_ok());
+  const auto full = graph.value().analyze_checked();
+  EXPECT_EQ(FaultInjector::instance().fire_count(FaultSite::kStageSolve), 1u);
+  FaultInjector::instance().disarm_all();
+  ASSERT_TRUE(full.is_ok());
+  EXPECT_EQ(stage_diagnostics(full.value().diagnostics, net.name), 1u);
+  expect_same_timing(updated, full.value());
 }
 
 }  // namespace

@@ -110,6 +110,10 @@ TEST(PathTiming, ValidatesInputs) {
   const PathStage st = make_stage(1.0);
   const auto model = eed::analyze(st.tree);
   EXPECT_THROW(time_stage(model.at(st.sink), -1.0), std::invalid_argument);
+  // A non-finite rise is rejected up front, not after a failed search.
+  EXPECT_THROW((void)time_stage(model.at(st.sink), std::nan("")), std::invalid_argument);
+  EXPECT_THROW((void)time_stage(model.at(st.sink), HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW((void)time_stage(model.at(st.sink), -HUGE_VAL), std::invalid_argument);
 }
 
 }  // namespace

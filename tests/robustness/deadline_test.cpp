@@ -169,6 +169,7 @@ TEST(FaultInjector, SiteNamesRoundTrip) {
   EXPECT_STREQ(ru::fault_site_name(FaultSite::kPoolDelay), "pool-delay");
   EXPECT_STREQ(ru::fault_site_name(FaultSite::kPoolAbort), "pool-abort");
   EXPECT_STREQ(ru::fault_site_name(FaultSite::kParseTruncate), "parse-truncate");
+  EXPECT_STREQ(ru::fault_site_name(FaultSite::kStageSolve), "stage-solve");
   EXPECT_EQ(FaultInjector::fire_status(FaultSite::kPoolAbort).code(), ErrorCode::kInjectedFault);
 }
 
