@@ -22,11 +22,14 @@
 ///
 /// The moment phase runs through analyze_corpus_checked, so the whole
 /// analysis inherits its bitwise thread/lane-width independence; the
-/// propagation itself is a sequential sweep over Design::topo_nets.
+/// propagation itself is a sequential sweep over Design::topo_nets, and an
+/// incremental update visits the dirty nets of that sweep in the same
+/// order.
 /// Faulted nets are skipped and poison only their own fanout cone: every
 /// endpoint fed by one reports `timed == false` instead of a fake number.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -54,10 +57,10 @@ struct NetTiming {
   bool faulted = false;             ///< moments unavailable (faulted or not run)
 };
 
-/// One endpoint's summary row.
+/// One endpoint's row: the timing of its port's tap. The port's name is
+/// `Design::ports[port].name`.
 struct EndpointSlack {
   int port = -1;          ///< index into Design::ports
-  std::string name;
   bool timed = false;
   bool constrained = false;
   double arrival = 0.0;
@@ -76,7 +79,6 @@ struct TimingSummary {
   std::size_t incomplete_nets = 0;    ///< corpus nets not analyzed: deadline/cancel
   std::size_t cache_hits = 0;         ///< corpus nets served by AnalyzeOptions::cache
   std::size_t cache_misses = 0;       ///< corpus nets the cache could not serve
-  std::vector<EndpointSlack> endpoints_by_slack;  ///< ascending slack
 };
 
 /// Full analysis result; the input to slack queries and path extraction.
@@ -84,6 +86,19 @@ struct TimingResult {
   TimingSummary summary;
   std::vector<NetTiming> nets;       ///< indexed like Design::nets
   std::vector<int> winning_input;    ///< per instance: arrival-setting pin, -1 = none
+  /// One row per output port, in port order (slack order: endpoints_by_slack).
+  std::vector<EndpointSlack> endpoints;
+  /// Derived from `endpoints`, so an update re-derives WNS and TNS from
+  /// the rows it rewrote instead of from every row.
+  struct EndpointIndex {
+    /// Tournament over the rows' slacks (+inf for rows not both timed and
+    /// constrained), leaves from size()/2 on; [1] is the first minimum.
+    std::vector<double> min_tree;
+    std::vector<std::uint32_t> violating;  ///< rows with negative counted slack, ascending
+  } endpoint_index;
+  /// Shape digest of the analyzed design (TimingGraph::shape); an update
+  /// rejects a result whose digest differs from its graph's.
+  std::uint64_t shape = 0;
   /// Non-ok when corpus analysis stopped at a deadline/cancellation
   /// (kDeadlineExceeded / kCancelled). Completed cones are still timed
   /// bitwise-identically to an uninterrupted run; nets the stop left
@@ -154,7 +169,9 @@ class TimingGraph {
   /// design) after the edits described by `seeds`: arrivals/slews are
   /// repropagated forward and required times backward only through the
   /// levelized dirty cones, with a frontier cutoff wherever a recomputed
-  /// net's forward half is bitwise-unchanged. On success `result` is
+  /// net's forward half is bitwise-unchanged. The cost is O(cone ·
+  /// log cone) for the sweeps plus O(endpoints) for the WNS/TNS re-sum:
+  /// nets outside the cones are never visited. On success `result` is
   /// bitwise-equal to a from-scratch analyze of the edited design in
   /// every PointTiming, wire delay, WNS/TNS, endpoint row and
   /// `faulted_nets`. A re-timed net whose stage solve starts failing gains
@@ -166,20 +183,30 @@ class TimingGraph {
   /// (the Timer guarantees this: a full analyze fills it, edits restamp
   /// the edited slots) — a miss fails with kInvalidArgument and the
   /// caller falls back to a full analyze. `options.deadline`/`cancel` are
-  /// polled at cone-frontier boundaries; a stop returns ok with
+  /// polled before the first net of each sweep and every 64 nets after
+  /// it; a stop returns ok with
   /// UpdateStats::stop_status non-ok and the partially-updated `result`
   /// must be discarded. Errors leave `result` unchanged only for the
   /// up-front validation failures; a cache miss mid-cone also requires
-  /// discarding (the Timer treats every failure path the same way).
+  /// discarding (the Timer treats every failure path the same way). A
+  /// result whose shape digest is not this graph's (another design, or
+  /// one whose nets' tap counts moved) is one such up-front failure.
   [[nodiscard]] util::Result<UpdateStats> update_checked(TimingResult& result, CorpusCache& cache,
                                                          const UpdateSeeds& seeds,
                                                          const AnalyzeOptions& options = {}) const;
 
   [[nodiscard]] const Design& design() const { return *design_; }
 
+  /// Digest of the design's shape at build time: net count, each net's
+  /// tap count, instance count. analyze_checked stamps it into
+  /// TimingResult::shape.
+  [[nodiscard]] std::uint64_t shape() const { return shape_; }
+
  private:
   explicit TimingGraph(const Design* design) : design_(design) {}
   const Design* design_;
+  std::vector<int> topo_pos_;  ///< per net: its position in Design::topo_nets
+  std::uint64_t shape_ = 0;
 };
 
 /// Slack of the endpoint (output port) named `port`. kInvalidArgument for
@@ -193,9 +220,15 @@ class TimingGraph {
                                                         const TimingResult& result,
                                                         int port_index);
 
-/// The `k` worst (smallest-slack) constrained endpoints' critical paths,
-/// backtracked through winning arcs. Fewer than `k` when the design has
-/// fewer timed endpoints.
+/// Every endpoint row of `result` in slack order: timed and constrained
+/// rows first by ascending slack, then timed unconstrained rows, then
+/// untimed rows; ties keep port order. Sorted on each call, O(P log P).
+[[nodiscard]] std::vector<EndpointSlack> endpoints_by_slack(const TimingResult& result);
+
+/// The critical paths of the first `k` timed rows of endpoints_by_slack
+/// (constrained rows first), backtracked through winning arcs. Selects
+/// the rows with a partial sort, O(P log k). Fewer than `k` when the
+/// design has fewer timed endpoints.
 [[nodiscard]] util::Result<std::vector<PathReport>> worst_paths_checked(
     const Design& design, const TimingResult& result, std::size_t k);
 

@@ -20,13 +20,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "relmore/engine/timing_engine.hpp"
 #include "relmore/sta/sta.hpp"
 #include "relmore/util/diagnostics.hpp"
 
@@ -98,13 +96,14 @@ class Timer {
   class Edit;
 
   /// Opens a what-if edit transaction. Record edits on the handle, then
-  /// `commit()` to apply them atomically: every wire edit is mapped onto
-  /// the net's persistent engine::TimingEngine (O(depth) moment updates
-  /// under its transaction journal) instead of re-snapshotting the net,
-  /// and a failing edit rolls every net back — the design is untouched by
-  /// a failed commit (strong guarantee). An abandoned handle applies
-  /// nothing. One commit per handle; at most one handle should be open at
-  /// a time (the Timer serializes nothing).
+  /// `commit()` to apply them atomically: the commit edits a working copy
+  /// of each touched net's FlatTree, re-derives its tap models with the
+  /// corpus kernel (eed::analyze_checked, O(sections)), and writes the
+  /// nets back only when every op applied. A failed commit drops the
+  /// copies, so the design is untouched (strong guarantee), and nothing
+  /// outlives its commit. An abandoned handle applies nothing. One
+  /// commit per handle; at most one handle should be open at a time (the
+  /// Timer serializes nothing).
   [[nodiscard]] Edit edit();
 
   /// The persistent per-net analysis cache analyze() feeds (when the
@@ -116,7 +115,6 @@ class Timer {
   [[nodiscard]] util::Status ensure_analyzed();
   [[nodiscard]] util::Result<EditOutcome> commit_edit(Edit& edit,
                                                       const sta::AnalyzeOptions& options);
-  [[nodiscard]] util::Result<engine::TimingEngine*> engine_for(int net_index);
 
   /// Name → index tables over the loaded design's own net, instance and
   /// port names (defined in timer.cpp).
@@ -131,9 +129,6 @@ class Timer {
   std::optional<sta::TimingResult> result_;
   sta::AnalyzeOptions options_;
   sta::CorpusCache cache_;                     ///< injected into analyze()
-  /// Lazily created per edited net from its Net::flat (FlatTree::to_tree),
-  /// which each commit re-snapshots from the engine; dropped on load().
-  std::map<int, engine::TimingEngine> engines_;
   std::unique_ptr<NameIndex> names_;           ///< dropped on load()
 };
 

@@ -66,7 +66,7 @@ std::vector<std::uint64_t> bits_of(const TimingResult& r) {
   }
   push(out, r.summary.wns);
   push(out, r.summary.tns);
-  for (const EndpointSlack& e : r.summary.endpoints_by_slack) push(out, e.slack);
+  for (const EndpointSlack& e : endpoints_by_slack(r)) push(out, e.slack);
   return out;
 }
 

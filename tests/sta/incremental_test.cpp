@@ -4,6 +4,7 @@
 // edited design) and the cache counters must surface its work.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <bit>
 #include <cstdint>
@@ -62,10 +63,12 @@ void expect_bitwise_equal(const sta::TimingResult& got, const sta::TimingResult&
     }
   }
   EXPECT_EQ(got.winning_input, want.winning_input);
-  ASSERT_EQ(got.summary.endpoints_by_slack.size(), want.summary.endpoints_by_slack.size());
-  for (std::size_t i = 0; i < want.summary.endpoints_by_slack.size(); ++i) {
-    const sta::EndpointSlack& g = got.summary.endpoints_by_slack[i];
-    const sta::EndpointSlack& w = want.summary.endpoints_by_slack[i];
+  const std::vector<sta::EndpointSlack> got_rows = sta::endpoints_by_slack(got);
+  const std::vector<sta::EndpointSlack> want_rows = sta::endpoints_by_slack(want);
+  ASSERT_EQ(got_rows.size(), want_rows.size());
+  for (std::size_t i = 0; i < want_rows.size(); ++i) {
+    const sta::EndpointSlack& g = got_rows[i];
+    const sta::EndpointSlack& w = want_rows[i];
     EXPECT_EQ(g.port, w.port);
     EXPECT_EQ(bits(g.slack), bits(w.slack));
     EXPECT_EQ(g.timed, w.timed);
@@ -239,6 +242,45 @@ TEST(TimerEdit, AbandonedHandleAppliesNothing) {
   expect_bitwise_equal(*timer.result(), before);
 }
 
+/// Heap bytes the allocator reports in use (0 when it reports nothing,
+/// as under the sanitizers' allocators).
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(TimerEdit, HeapDoesNotGrowWithDistinctEditedNets) {
+  {
+    const std::size_t before = heap_in_use();
+    const std::vector<char> probe(1u << 20, 1);
+    if (heap_in_use() < before + probe.size()) {
+      GTEST_SKIP() << "allocator reports no heap growth";
+    }
+  }
+  Timer timer;
+  ASSERT_TRUE(timer.load(synthetic(2000, 1)).is_ok());
+  ASSERT_TRUE(timer.analyze().is_ok());
+  const sta::Design& design = *timer.design();
+
+  // One wire edit per net, each committed alone: a commit's working state
+  // dies with it, so no per-net state accumulates. Keeping one
+  // engine::TimingEngine per edited net grew this loop by ~4 MB.
+  std::size_t after_first = 0;
+  for (std::size_t ni = 0; ni < design.nets.size(); ++ni) {
+    Timer::Edit edit = timer.edit();
+    const circuit::SectionValues wire{40.0 + static_cast<double>(ni % 7), 0.0, 12e-15};
+    ASSERT_TRUE(edit.set_net_section_values(design.nets[ni].name, "s0", wire).is_ok());
+    const util::Result<Timer::EditOutcome> outcome = edit.commit();
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    ASSERT_TRUE(outcome.value().incremental) << "net " << ni;
+    if (ni == 0) after_first = heap_in_use();
+  }
+  const std::size_t after_last = heap_in_use();
+  EXPECT_LE(after_last, after_first + (64u << 10))
+      << "heap grew by " << (after_last - after_first) << " B over " << design.nets.size()
+      << " distinct edited nets";
+}
+
 TEST(UpdateChecked, CacheMissFailsWithInvalidArgument) {
   sta::Design design = synthetic(16, 6);
   util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
@@ -273,6 +315,73 @@ TEST(UpdateChecked, SeedOutOfRangeIsRejected) {
   seeds.backward_nets.push_back(-3);
   EXPECT_EQ(graph.value().update_checked(updated, cache, seeds).status().code(),
             ErrorCode::kInvalidArgument);
+}
+
+/// Three nets and two buffers: a chain (one tap per net), or a fanout
+/// in which n0 feeds both buffers (taps 2, 1, 1).
+sta::Design three_nets(bool fanout) {
+  std::string text =
+      "net n0\nsection s0 - R=100 L=0 C=10f\nend\n"
+      "net n1\nsection s0 - R=120 L=0 C=12f\nend\n"
+      "net n2\nsection s0 - R=140 L=0 C=14f\nend\n"
+      "input a n0 at=0 slew=0\n"
+      "inst u0 buf_x1 n1 n0:s0\n";
+  text += fanout ? "inst u1 buf_x1 n2 n0:s0\noutput o1 n1:s0 required=1n\n"
+                 : "inst u1 buf_x1 n2 n1:s0\n";
+  text += "output o n2:s0 required=1n\n";
+  std::istringstream is(text);
+  util::Result<sta::Design> design = sta::read_design_checked(is);
+  EXPECT_TRUE(design.is_ok()) << design.status().to_string();
+  return std::move(design).value();
+}
+
+TEST(UpdateChecked, StaleShapeIsRejected) {
+  // A result of another design with the same net and instance counts.
+  {
+    const sta::Design chain = three_nets(false);
+    const sta::Design fanout = three_nets(true);
+    ASSERT_EQ(chain.nets.size(), fanout.nets.size());
+    ASSERT_EQ(chain.instances.size(), fanout.instances.size());
+    util::Result<sta::TimingGraph> chain_graph = sta::TimingGraph::build_checked(chain);
+    util::Result<sta::TimingGraph> fanout_graph = sta::TimingGraph::build_checked(fanout);
+    ASSERT_TRUE(chain_graph.is_ok() && fanout_graph.is_ok());
+    sta::AnalyzeOptions options;
+    sta::CorpusCache cache;
+    options.cache = &cache;
+    ASSERT_TRUE(fanout_graph.value().analyze_checked(options).is_ok());  // cache covers fanout
+    util::Result<sta::TimingResult> result = chain_graph.value().analyze_checked();
+    ASSERT_TRUE(result.is_ok());
+    sta::TimingResult stale = result.value();
+    sta::UpdateSeeds seeds;
+    seeds.forward_nets.push_back(0);
+    util::Result<sta::UpdateStats> stats =
+        fanout_graph.value().update_checked(stale, cache, seeds, options);
+    EXPECT_EQ(stats.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("stale"), std::string::npos);
+    expect_bitwise_equal(stale, result.value());
+  }
+  // A result of this design before one net's taps were resized.
+  {
+    sta::Design design = synthetic(16, 6);
+    sta::AnalyzeOptions options;
+    sta::CorpusCache cache;
+    options.cache = &cache;
+    util::Result<sta::TimingResult> result =
+        sta::TimingGraph::build_checked(design).value().analyze_checked(options);
+    ASSERT_TRUE(result.is_ok());
+    sta::Net& net = design.nets[5];
+    net.taps.push_back(net.taps.front());
+    util::Result<sta::TimingGraph> graph = sta::TimingGraph::build_checked(design);
+    ASSERT_TRUE(graph.is_ok());
+    sta::TimingResult stale = result.value();
+    sta::UpdateSeeds seeds;
+    seeds.forward_nets.push_back(5);
+    util::Result<sta::UpdateStats> stats =
+        graph.value().update_checked(stale, cache, seeds, options);
+    EXPECT_EQ(stats.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("stale"), std::string::npos);
+    expect_bitwise_equal(stale, result.value());
+  }
 }
 
 TEST(UpdateChecked, EmptySeedsAreANoOp) {

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "relmore/sta/design.hpp"
 #include "relmore/timer.hpp"
@@ -100,9 +104,9 @@ TEST(TimingGraph, GoldenThreeStageArrivalsAndSlews) {
   EXPECT_EQ(s.constrained_endpoints, 1u);
   EXPECT_EQ(s.untimed_endpoints, 0u);
   EXPECT_EQ(s.faulted_nets, 0u);
-  ASSERT_EQ(s.endpoints_by_slack.size(), 1u);
-  const EndpointSlack& row = s.endpoints_by_slack[0];
-  EXPECT_EQ(row.name, "out");
+  ASSERT_EQ(res.endpoints.size(), 1u);
+  const EndpointSlack& row = res.endpoints[0];
+  EXPECT_EQ(d.ports[static_cast<std::size_t>(row.port)].name, "out");
   EXPECT_TRUE(row.timed);
   EXPECT_TRUE(row.constrained);
   EXPECT_NEAR(row.arrival, endpoint_arrival, kTol);
@@ -162,9 +166,9 @@ TEST(TimingGraph, UnconstrainedEndpointsAreExcludedFromWnsTns) {
   EXPECT_EQ(res.summary.untimed_endpoints, 0u);
   EXPECT_NEAR(res.summary.wns, 0.0, kTol);
   EXPECT_NEAR(res.summary.tns, 0.0, kTol);
-  ASSERT_EQ(res.summary.endpoints_by_slack.size(), 1u);
-  EXPECT_TRUE(res.summary.endpoints_by_slack[0].timed);
-  EXPECT_FALSE(res.summary.endpoints_by_slack[0].constrained);
+  ASSERT_EQ(res.endpoints.size(), 1u);
+  EXPECT_TRUE(res.endpoints[0].timed);
+  EXPECT_FALSE(res.endpoints[0].constrained);
   // The slack query still answers: required is +inf.
   util::Result<double> s = endpoint_slack_checked(d, res, "out");
   ASSERT_TRUE(s.is_ok());
@@ -276,6 +280,120 @@ TEST(TimingGraph, IncrementalUpdateTracksStageSolveFaults) {
     EXPECT_EQ(incremental.diagnostics.error_count(), fresh.diagnostics.error_count());
     EXPECT_EQ(incremental.summary.untimed_endpoints, fresh.summary.untimed_endpoints);
   }
+}
+
+/// SplitMix64, for the seeded random designs below.
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state += 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+  std::size_t below(std::size_t n) { return static_cast<std::size_t>(next() % n); }
+};
+
+/// `chains` port -> buffer -> ... -> port chains of 1-3 nets. Each net
+/// takes one of two value sets, so equal chains tie exactly on slack.
+/// About a third of the outputs carry their own required= (one of two
+/// values); the rest fall back to the clock, which some draws omit.
+std::string random_chains(Rng& rng, std::size_t chains) {
+  std::string text = "design topk\n";
+  if (rng.below(3) != 0) text += "clock 400p\n";
+  std::string tail;
+  for (std::size_t c = 0; c < chains; ++c) {
+    const std::size_t depth = 1 + rng.below(3);
+    const std::string id = std::to_string(c);
+    const auto net = [&id](std::size_t s) { return "c" + id + "_" + std::to_string(s); };
+    for (std::size_t s = 0; s < depth; ++s) {
+      const bool heavy = rng.below(2) == 0;
+      text += "net ";
+      text += net(s);
+      text += heavy ? "\nsection s0 - R=200 L=0 C=20f\nsection s1 s0 R=100 L=1p C=10f\nend\n"
+                    : "\nsection s0 - R=50 L=0 C=5f\nsection s1 s0 R=80 L=0 C=8f\nend\n";
+      if (s + 1 < depth) {
+        tail += "inst u";
+        tail += net(s);
+        tail += " buf_x1 ";
+        tail += net(s + 1);
+        tail += ' ';
+        tail += net(s);
+        tail += ":s1\n";
+      }
+    }
+    tail += "input in";
+    tail += id;
+    tail += ' ';
+    tail += net(0);
+    tail += " at=0 slew=20p\noutput out";
+    tail += id;
+    tail += ' ';
+    tail += net(depth - 1);
+    tail += ":s1";
+    if (rng.below(3) == 0) tail += rng.below(2) == 0 ? " required=150p" : " required=300p";
+    tail += '\n';
+  }
+  return text + tail;
+}
+
+/// 0: timed and constrained, 1: timed only, 2: untimed.
+int rank(const EndpointSlack& row) { return row.timed && row.constrained ? 0 : row.timed ? 1 : 2; }
+
+TEST(WorstPaths, TopKIsThePrefixOfTheSlackOrder) {
+  std::size_t ties = 0;
+  std::size_t unconstrained = 0;
+  std::size_t untimed = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng{seed};
+    const std::size_t chains = 6 + rng.below(20);
+    Design d = parse(random_chains(rng, chains));
+    // A negative launch slew fails the first stage solve, so that chain's
+    // cone is untimed.
+    for (DesignPort& port : d.ports) {
+      if (port.is_input && rng.below(6) == 0) port.slew = -5e-12;
+    }
+    const TimingResult res = analyze(d);
+    const std::vector<EndpointSlack> rows = endpoints_by_slack(res);
+    ASSERT_EQ(rows.size(), chains);
+
+    // The full order: by rank, then ascending slack, then port index.
+    std::size_t timed = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      timed += rows[i].timed ? 1 : 0;
+      unconstrained += rows[i].timed && !rows[i].constrained ? 1 : 0;
+      untimed += rows[i].timed ? 0 : 1;
+      if (i == 0) continue;
+      const EndpointSlack& a = rows[i - 1];
+      const EndpointSlack& b = rows[i];
+      ASSERT_LE(rank(a), rank(b)) << "seed " << seed << " row " << i;
+      if (rank(a) != rank(b) || rank(b) == 2) continue;
+      ASSERT_LE(a.slack, b.slack) << "seed " << seed << " row " << i;
+      if (a.slack == b.slack) {
+        ASSERT_LT(a.port, b.port) << "seed " << seed << " row " << i;
+        ++ties;
+      }
+    }
+
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{10}, timed + 3}) {
+      const util::Result<std::vector<PathReport>> paths = worst_paths_checked(d, res, k);
+      ASSERT_TRUE(paths.is_ok()) << paths.status().to_string();
+      ASSERT_EQ(paths.value().size(), std::min(k, timed)) << "seed " << seed << " k " << k;
+      for (std::size_t i = 0; i < paths.value().size(); ++i) {
+        const PathReport& path = paths.value()[i];
+        EXPECT_EQ(path.endpoint, d.ports[static_cast<std::size_t>(rows[i].port)].name)
+            << "seed " << seed << " k " << k << " row " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(path.slack),
+                  std::bit_cast<std::uint64_t>(rows[i].slack));
+        EXPECT_EQ(path.constrained, rows[i].constrained);
+      }
+    }
+  }
+  // Every row class the order distinguishes was exercised.
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(unconstrained, 0u);
+  EXPECT_GT(untimed, 0u);
 }
 
 TEST(TimingGraph, BuildRejectsUnfinalizedDesigns) {
