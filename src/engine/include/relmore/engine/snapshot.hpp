@@ -7,9 +7,10 @@
 /// The corpus-scale flows (sta::analyze_corpus_checked today, the analysis
 /// daemon on the ROADMAP) want one thread editing a tree through a
 /// `TimingEngine` while other threads analyze a *consistent* view of it.
-/// `circuit::FlatTree` is already immutable after construction, so the
-/// only coordination problem is handing a fresh snapshot from the writer
-/// to the readers without tearing or leaking. `SharedSnapshot` is that
+/// A published `circuit::FlatTree` is reached only through a const
+/// record, so nothing writes it after the hand-off; the only coordination
+/// problem is handing a fresh snapshot from the writer to the readers
+/// without tearing or leaking. `SharedSnapshot` is that
 /// hand-off point: the writer publishes (FlatTree, epoch) records, readers
 /// acquire a `shared_ptr` to the latest record and analyze it lock-free
 /// for as long as they hold the pointer.
